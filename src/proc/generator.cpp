@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -31,66 +32,35 @@ struct Config {
   friend bool operator==(const Config&, const Config&) = default;
 };
 
-struct ConfigHash {
-  std::size_t operator()(const Config& c) const noexcept {
-    std::uint64_t h = static_cast<std::uint64_t>(c.kind) * 0x9e3779b97f4a7c15ull;
-    h ^= reinterpret_cast<std::uintptr_t>(c.term);
-    h *= 1099511628211ull;
-    h ^= c.left;
-    h *= 1099511628211ull;
-    h ^= c.right;
-    h *= 1099511628211ull;
-    h ^= c.env.hash();
-    return static_cast<std::size_t>(h);
-  }
+std::uint64_t config_hash(const Config& c) {
+  std::uint64_t h = static_cast<std::uint64_t>(c.kind) * 0x9e3779b97f4a7c15ull;
+  h ^= reinterpret_cast<std::uintptr_t>(c.term);
+  h *= 1099511628211ull;
+  h ^= c.left;
+  h *= 1099511628211ull;
+  h ^= c.right;
+  h *= 1099511628211ull;
+  h ^= c.env.hash();
+  return h;
+}
+
+/// A concrete action produced by the SOS rules, interned once per Generator
+/// as a LabelId: tau and exit are fixed, every visible action is its gate
+/// plus values.
+using LabelId = std::uint32_t;
+constexpr LabelId kTauLabel = 0;
+constexpr LabelId kExitLabel = 1;
+
+struct Label {
+  std::string gate;           // visible labels only
+  std::vector<Value> values;  // visible labels only
+  std::string text;           // "i", "exit" or "GATE !v1 !v2"
 };
 
-/// A concrete action produced by the SOS rules.
-struct GAction {
-  enum class Type { kVisible, kTau, kExit };
-  Type type = Type::kTau;
-  std::string gate;            // kVisible only
-  std::vector<Value> values;   // kVisible only
-
-  [[nodiscard]] bool can_sync_on(const std::vector<std::string>& gates) const {
-    if (type == Type::kExit) {
-      return true;
-    }
-    if (type != Type::kVisible) {
-      return false;
-    }
-    for (const std::string& g : gates) {
-      if (g == gate) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] bool same_label(const GAction& o) const {
-    return type == o.type && gate == o.gate && values == o.values;
-  }
-
-  [[nodiscard]] std::string label() const {
-    switch (type) {
-      case Type::kTau:
-        return "i";
-      case Type::kExit:
-        return "exit";
-      case Type::kVisible: {
-        std::string s = gate;
-        for (const Value v : values) {
-          s += " !";
-          s += std::to_string(v);
-        }
-        return s;
-      }
-    }
-    return "?";
-  }
+struct Successor {
+  LabelId label = kTauLabel;
+  CfgId dst = kNoCfg;
 };
-
-using Successor = std::pair<GAction, CfgId>;
 
 // ---- canonical state encoding helpers ---------------------------------------
 
@@ -139,21 +109,32 @@ std::uint64_t get_u64(std::string_view bytes, std::size_t& pos) {
 class Generator {
  public:
   Generator(const Program& program, const GenerateOptions& options)
-      : program_(program), options_(options), stop_term_(stop()) {}
+      : program_(program), options_(options), stop_term_(stop()) {
+    labels_.push_back(Label{{}, {}, "i"});
+    labels_.push_back(Label{{}, {}, "exit"});
+  }
 
   Lts run(const TermPtr& root) {
     root_keepalive_ = root;
     Lts out;
+    std::vector<lts::ActionId> action_of;  // by LabelId, interned on first use
     const CfgId init = lift(root.get(), Env{}, 0);
     const StateId s0 = state_of(init, out);
     out.set_initial_state(s0);
     while (!worklist_.empty()) {
       const CfgId cfg = worklist_.front();
       worklist_.pop_front();
-      const StateId src = cfg_to_state_.at(cfg);
+      const StateId src = cfg_to_state_[cfg];
       for (const Successor& suc : transitions(cfg, 0)) {
-        const StateId dst = state_of(suc.second, out);
-        out.add_transition(src, std::string_view(suc.first.label()), dst);
+        const StateId dst = state_of(suc.dst, out);
+        if (suc.label >= action_of.size()) {
+          action_of.resize(labels_.size(), kNoAction);
+        }
+        lts::ActionId& action = action_of[suc.label];
+        if (action == kNoAction) {
+          action = out.actions().intern(labels_[suc.label].text);
+        }
+        out.add_transition(src, action, dst);
       }
     }
     return out;
@@ -166,7 +147,7 @@ class Generator {
     DeadlockSearchResult result;
     struct Parent {
       StateId state = lts::kNoState;
-      std::string label;
+      LabelId label = kTauLabel;
     };
     std::vector<Parent> parents;
 
@@ -178,7 +159,7 @@ class Generator {
     while (!worklist_.empty()) {
       const CfgId cfg = worklist_.front();
       worklist_.pop_front();
-      const StateId src = cfg_to_state_.at(cfg);
+      const StateId src = cfg_to_state_[cfg];
       const auto succ = transitions(cfg, 0);
       ++result.states_explored;
       if (succ.empty()) {
@@ -186,17 +167,16 @@ class Generator {
         // Unwind the parent chain.
         for (StateId s = src; parents[s].state != lts::kNoState;
              s = parents[s].state) {
-          result.trace.push_back(parents[s].label);
+          result.trace.push_back(labels_[parents[s].label].text);
         }
         std::reverse(result.trace.begin(), result.trace.end());
         return result;
       }
       for (const Successor& suc : succ) {
-        const std::size_t before = cfg_to_state_.size();
-        const StateId dst = state_of(suc.second, out);
-        if (cfg_to_state_.size() > before) {
-          parents.push_back(Parent{src, suc.first.label()});
-          (void)dst;
+        const std::size_t before = out.num_states();
+        (void)state_of(suc.dst, out);
+        if (out.num_states() > before) {
+          parents.push_back(Parent{src, suc.label});
         }
       }
     }
@@ -211,6 +191,8 @@ class Generator {
   }
 
   std::vector<Successor> successors_of(CfgId id) { return transitions(id, 0); }
+
+  const std::string& label_text(LabelId id) const { return labels_[id].text; }
 
   /// Canonical byte encoding of a configuration.  Leaf/operator terms are
   /// identified by their address in the shared term tree (stable across
@@ -341,15 +323,43 @@ class Generator {
 
   // ---- configuration interning -------------------------------------------
 
+  /// Returns the id of @p c, adding it to the arena if it is new.  The
+  /// arena holds the only copy of each configuration; slots_ indexes it by
+  /// open addressing, and each slot caches (32 bits of) its configuration's
+  /// hash so that probes and growth compare and move hashes, not Envs.
   CfgId intern(Config c) {
-    const auto it = ids_.find(c);
-    if (it != ids_.end()) {
-      return it->second;
+    if (2 * (arena_.size() + 1) > slots_.size()) {
+      grow_slots();
     }
-    const auto id = static_cast<CfgId>(arena_.size());
-    arena_.push_back(c);
-    ids_.emplace(std::move(c), id);
-    return id;
+    const auto h = static_cast<std::uint32_t>(config_hash(c));
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.id == kNoCfg) {
+        slot = Slot{h, static_cast<CfgId>(arena_.size())};
+        arena_.push_back(std::move(c));
+        return slot.id;
+      }
+      if (slot.hash == h && arena_[slot.id] == c) {
+        return slot.id;
+      }
+    }
+  }
+
+  void grow_slots() {
+    std::vector<Slot> old(std::max<std::size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id == kNoCfg) {
+        continue;
+      }
+      std::size_t i = slot.hash & mask;
+      while (slots_[i].id != kNoCfg) {
+        i = (i + 1) & mask;
+      }
+      slots_[i] = slot;
+    }
   }
 
   const Config& cfg(CfgId id) const { return arena_[id]; }
@@ -359,6 +369,38 @@ class Generator {
     c.kind = Config::Kind::kLeaf;
     c.term = stop_term_.get();
     return intern(std::move(c));
+  }
+
+  // ---- label interning ---------------------------------------------------
+
+  LabelId intern_label(const std::string& gate,
+                       const std::vector<Value>& values) {
+    std::string key;  // length-prefixed gate, then the raw values
+    put_varint(key, gate.size());
+    key += gate;
+    key.append(reinterpret_cast<const char*>(values.data()),
+               values.size() * sizeof(Value));
+    const auto [it, inserted] =
+        label_ids_.try_emplace(std::move(key), labels_.size());
+    if (inserted) {
+      std::string text = gate;
+      for (const Value v : values) {
+        text += " !";
+        text += std::to_string(v);
+      }
+      labels_.push_back(Label{gate, values, std::move(text)});
+    }
+    return it->second;
+  }
+
+  /// True if @p label takes part in a synchronisation on @p gates: exit
+  /// always does, tau never, a visible action when its gate is listed.
+  bool syncs_on(LabelId label, const std::vector<std::string>& gates) const {
+    if (label == kExitLabel) {
+      return true;
+    }
+    return label != kTauLabel && std::find(gates.begin(), gates.end(),
+                                           labels_[label].gate) != gates.end();
   }
 
   // ---- lifting: term + env -> configuration --------------------------------
@@ -430,9 +472,11 @@ class Generator {
 
   // ---- SOS transition rules -------------------------------------------------
 
+  /// arena_ is a deque, so the Config references taken here stay valid
+  /// while the rules below intern new configurations.
   std::vector<Successor> transitions(CfgId id, std::size_t depth) {
     bump(depth);
-    const Config c = cfg(id);  // copy: arena_ may grow during recursion
+    const Config& c = cfg(id);
     switch (c.kind) {
       case Config::Kind::kLeaf:
         return leaf_transitions(c, depth);
@@ -448,16 +492,46 @@ class Generator {
     throw std::logic_error("transitions: bad config kind");
   }
 
+  /// A memoised successor list: pool_[begin, begin + count), computed
+  /// with an unfolding that reached `span` levels below its start.
+  static constexpr std::uint32_t kNotComputed = static_cast<std::uint32_t>(-1);
+  struct Memo {
+    std::size_t begin = 0;
+    std::uint32_t count = 0;
+    std::uint32_t span = kNotComputed;
+  };
+
+  /// Successors of a parallel operand.  Configurations are immutable and
+  /// hash-consed, so the list is a pure function of the id: it is computed
+  /// once and stored, and only once it is complete, so an exception leaves
+  /// no entry behind.  Reusing an entry at @p depth checks depth + span
+  /// against the bound, which trips it exactly where recomputing would.
+  Memo operand_transitions(CfgId id, std::size_t depth) {
+    if (id < memo_.size() && memo_[id].span != kNotComputed) {
+      bump(depth + memo_[id].span);
+      return memo_[id];
+    }
+    const std::size_t outer_deepest = deepest_;
+    deepest_ = depth;
+    const std::vector<Successor> moves = transitions(id, depth);
+    Memo m{pool_.size(), static_cast<std::uint32_t>(moves.size()),
+           static_cast<std::uint32_t>(deepest_ - depth)};
+    deepest_ = std::max(outer_deepest, deepest_);
+    pool_.insert(pool_.end(), moves.begin(), moves.end());
+    if (id >= memo_.size()) {
+      memo_.resize(arena_.size());
+    }
+    memo_[id] = m;
+    return m;
+  }
+
   std::vector<Successor> leaf_transitions(const Config& c, std::size_t depth) {
     const Term& t = *c.term;
     switch (t.kind()) {
       case Term::Kind::kStop:
         return {};
-      case Term::Kind::kExit: {
-        GAction a;
-        a.type = GAction::Type::kExit;
-        return {{std::move(a), stopped()}};
-      }
+      case Term::Kind::kExit:
+        return {{kExitLabel, stopped()}};
       case Term::Kind::kPrefix: {
         std::vector<Successor> out;
         std::vector<Value> values;
@@ -468,9 +542,8 @@ class Generator {
         std::vector<Successor> out;
         for (const TermPtr& branch : t.children()) {
           const CfgId b = lift(branch.get(), c.env, depth + 1);
-          auto moves = transitions(b, depth + 1);
-          out.insert(out.end(), std::make_move_iterator(moves.begin()),
-                     std::make_move_iterator(moves.end()));
+          const auto moves = transitions(b, depth + 1);
+          out.insert(out.end(), moves.begin(), moves.end());
         }
         return out;
       }
@@ -485,12 +558,8 @@ class Generator {
                         std::vector<Value>& values,
                         std::vector<Successor>& out, std::size_t depth) {
     if (index == t.offers().size()) {
-      GAction a;
-      a.type = GAction::Type::kVisible;
-      a.gate = t.gate();
-      a.values = values;
-      out.emplace_back(std::move(a),
-                       lift(t.children()[0].get(), env, depth + 1));
+      const LabelId label = intern_label(t.gate(), values);
+      out.push_back({label, lift(t.children()[0].get(), env, depth + 1)});
       return;
     }
     const Offer& o = t.offers()[index];
@@ -499,10 +568,12 @@ class Generator {
       enumerate_offers(t, index + 1, env, values, out, depth);
       values.pop_back();
     } else {
-      for (Value v = o.lo; v <= o.hi; ++v) {
+      // Counted in 64 bits so that a range ending at the largest Value
+      // terminates.
+      for (std::int64_t v = o.lo; v <= o.hi; ++v) {
         Env extended = env;
-        extended.bind(o.var, v);
-        values.push_back(v);
+        extended.bind(o.var, static_cast<Value>(v));
+        values.push_back(static_cast<Value>(v));
         enumerate_offers(t, index + 1, extended, values, out, depth);
         values.pop_back();
       }
@@ -511,8 +582,14 @@ class Generator {
 
   std::vector<Successor> par_transitions(const Config& c, std::size_t depth) {
     const std::vector<std::string>& sync = c.term->gates();
-    const auto left_moves = transitions(c.left, depth + 1);
-    const auto right_moves = transitions(c.right, depth + 1);
+    const Memo lm = operand_transitions(c.left, depth + 1);
+    const Memo rm = operand_transitions(c.right, depth + 1);
+    // Both lists are complete and nothing below appends to pool_, so these
+    // views stay valid until the function returns.
+    const std::span<const Successor> left_moves(pool_.data() + lm.begin,
+                                                lm.count);
+    const std::span<const Successor> right_moves(pool_.data() + rm.begin,
+                                                 rm.count);
     std::vector<Successor> out;
 
     const auto make_par = [&](CfgId l, CfgId r) {
@@ -524,25 +601,24 @@ class Generator {
       return intern(std::move(p));
     };
 
-    for (const Successor& lm : left_moves) {
-      if (!lm.first.can_sync_on(sync)) {
-        out.emplace_back(lm.first, make_par(lm.second, c.right));
+    for (const Successor& l : left_moves) {
+      if (!syncs_on(l.label, sync)) {
+        out.push_back({l.label, make_par(l.dst, c.right)});
       }
     }
-    for (const Successor& rm : right_moves) {
-      if (!rm.first.can_sync_on(sync)) {
-        out.emplace_back(rm.first, make_par(c.left, rm.second));
+    for (const Successor& r : right_moves) {
+      if (!syncs_on(r.label, sync)) {
+        out.push_back({r.label, make_par(c.left, r.dst)});
       }
     }
-    for (const Successor& lm : left_moves) {
-      if (!lm.first.can_sync_on(sync)) {
+    for (const Successor& l : left_moves) {
+      if (!syncs_on(l.label, sync)) {
         continue;
       }
-      for (const Successor& rm : right_moves) {
-        if (!rm.first.can_sync_on(sync) || !lm.first.same_label(rm.first)) {
-          continue;
+      for (const Successor& r : right_moves) {
+        if (r.label == l.label) {
+          out.push_back({l.label, make_par(l.dst, r.dst)});
         }
-        out.emplace_back(lm.first, make_par(lm.second, rm.second));
       }
     }
     return out;
@@ -551,18 +627,16 @@ class Generator {
   std::vector<Successor> seq_transitions(const Config& c, std::size_t depth) {
     std::vector<Successor> out;
     for (const Successor& m : transitions(c.left, depth + 1)) {
-      if (m.first.type == GAction::Type::kExit) {
-        GAction tau;
-        tau.type = GAction::Type::kTau;
-        out.emplace_back(std::move(tau),
-                         lift(c.term->children()[1].get(), c.env, depth + 1));
+      if (m.label == kExitLabel) {
+        out.push_back(
+            {kTauLabel, lift(c.term->children()[1].get(), c.env, depth + 1)});
       } else {
         Config s;
         s.kind = Config::Kind::kSeq;
         s.term = c.term;
-        s.left = m.second;
+        s.left = m.dst;
         s.env = c.env;
-        out.emplace_back(m.first, intern(std::move(s)));
+        out.push_back({m.label, intern(std::move(s))});
       }
     }
     return out;
@@ -570,16 +644,14 @@ class Generator {
 
   std::vector<Successor> hide_transitions(const Config& c, std::size_t depth) {
     std::vector<Successor> out;
-    for (Successor m : transitions(c.left, depth + 1)) {
-      if (m.first.type == GAction::Type::kVisible &&
-          m.first.can_sync_on(c.term->gates())) {
-        m.first = GAction{};  // tau
-      }
+    for (const Successor& m : transitions(c.left, depth + 1)) {
       Config h;
       h.kind = Config::Kind::kHide;
       h.term = c.term;
-      h.left = m.second;
-      out.emplace_back(std::move(m.first), intern(std::move(h)));
+      h.left = m.dst;
+      const bool hidden =
+          m.label != kExitLabel && syncs_on(m.label, c.term->gates());
+      out.push_back({hidden ? kTauLabel : m.label, intern(std::move(h))});
     }
     return out;
   }
@@ -588,17 +660,18 @@ class Generator {
                                             std::size_t depth) {
     std::vector<Successor> out;
     for (Successor m : transitions(c.left, depth + 1)) {
-      if (m.first.type == GAction::Type::kVisible) {
-        const auto it = c.term->gate_map().find(m.first.gate);
+      if (m.label != kTauLabel && m.label != kExitLabel) {
+        const Label& l = labels_[m.label];
+        const auto it = c.term->gate_map().find(l.gate);
         if (it != c.term->gate_map().end()) {
-          m.first.gate = it->second;
+          m.label = intern_label(it->second, l.values);
         }
       }
       Config r;
       r.kind = Config::Kind::kRename;
       r.term = c.term;
-      r.left = m.second;
-      out.emplace_back(std::move(m.first), intern(std::move(r)));
+      r.left = m.dst;
+      out.push_back({m.label, intern(std::move(r))});
     }
     return out;
   }
@@ -606,34 +679,51 @@ class Generator {
   // ---- state management --------------------------------------------------
 
   StateId state_of(CfgId cfg, Lts& out) {
-    const auto it = cfg_to_state_.find(cfg);
-    if (it != cfg_to_state_.end()) {
-      return it->second;
+    if (cfg >= cfg_to_state_.size()) {
+      cfg_to_state_.resize(arena_.size(), lts::kNoState);
+    }
+    if (cfg_to_state_[cfg] != lts::kNoState) {
+      return cfg_to_state_[cfg];
     }
     if (out.num_states() >= options_.max_states) {
       throw StateSpaceLimit("generate: state space exceeds " +
                             std::to_string(options_.max_states) + " states");
     }
     const StateId s = out.add_state();
-    cfg_to_state_.emplace(cfg, s);
+    cfg_to_state_[cfg] = s;
     worklist_.push_back(cfg);
     return s;
   }
 
-  void bump(std::size_t depth) const {
+  /// Enforces the unfolding bound and records the deepest level reached,
+  /// which operand_transitions turns into a memo entry's span.
+  void bump(std::size_t depth) {
     if (depth > options_.max_unfold_depth) {
       throw UnguardedRecursion(
           "generate: unfolding depth exceeded (unguarded recursion?)");
     }
+    deepest_ = std::max(deepest_, depth);
   }
+
+  struct Slot {
+    std::uint32_t hash = 0;
+    CfgId id = kNoCfg;
+  };
+
+  static constexpr lts::ActionId kNoAction = static_cast<lts::ActionId>(-1);
 
   const Program& program_;
   GenerateOptions options_;
   TermPtr root_keepalive_;
   TermPtr stop_term_;  // keeps the private stop leaf alive for interning
   std::deque<Config> arena_;
-  std::unordered_map<Config, CfgId, ConfigHash> ids_;
-  std::unordered_map<CfgId, StateId> cfg_to_state_;
+  std::vector<Slot> slots_;  // open-addressing index over arena_
+  std::deque<Label> labels_;  // by LabelId; a deque keeps references stable
+  std::unordered_map<std::string, LabelId> label_ids_;
+  std::vector<Memo> memo_;       // by CfgId, for parallel operands
+  std::vector<Successor> pool_;  // memoised successor lists
+  std::size_t deepest_ = 0;
+  std::vector<StateId> cfg_to_state_;  // by CfgId; kNoState if unvisited
   std::deque<CfgId> worklist_;
 };
 
@@ -702,7 +792,8 @@ std::vector<TermExplorer::Move> TermExplorer::successors(
   const CfgId id = impl_->gen.decode(state);
   std::vector<Move> out;
   for (const Successor& suc : impl_->gen.successors_of(id)) {
-    out.push_back(Move{suc.first.label(), impl_->gen.encode(suc.second)});
+    out.push_back(Move{impl_->gen.label_text(suc.label),
+                       impl_->gen.encode(suc.dst)});
   }
   return out;
 }

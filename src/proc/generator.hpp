@@ -7,6 +7,15 @@
 // explores the configuration graph breadth-first and emits an Lts whose
 // labels are "GATE !v1 !v2", "i" for internal actions, and "exit" for
 // successful termination.
+//
+// Because configurations are immutable and hash-consed, the successors of a
+// configuration are a pure function of its id.  The generator stores them
+// for every operand of a parallel composition, so each port process of a
+// global state is expanded once, not once per global state; the global
+// state itself (root, hide/rename wrappers, top parallel node) is expanded
+// exactly once by the search and is not stored.  Each concrete action
+// (gate plus values) is interned once as an integer label id, whose text
+// and Lts action id are built once: synchronisation tests compare ids.
 #pragma once
 
 #include <cstddef>

@@ -2,12 +2,19 @@
 // from LOTOS-like process definitions.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "bisim/equivalence.hpp"
 #include "lts/analysis.hpp"
+#include "lts/lts_io.hpp"
 #include "mc/evaluator.hpp"
 #include "mc/properties.hpp"
 #include "proc/expr.hpp"
+#include "noc/router.hpp"
 #include "proc/generator.hpp"
+#include "proc/parser.hpp"
 #include "proc/process.hpp"
 
 namespace {
@@ -273,6 +280,17 @@ TEST(Generate, UnguardedRecursionDetected) {
   EXPECT_THROW((void)generate(p, "Bad"), UnguardedRecursion);
 }
 
+TEST(Generate, AcceptRangeEndingAtInt32Max) {
+  const Program p =
+      parse_program("process P := G ?x:2147483646..2147483647 ; stop endproc");
+  GenerateOptions opts;
+  opts.max_states = 1000;
+  const Lts l = generate(p, "P", {}, opts);
+  EXPECT_EQ(l.num_transitions(), 2u);
+  EXPECT_EQ(l.actions().name(l.out(l.initial_state())[1].action),
+            "G !2147483647");
+}
+
 TEST(Generate, StateLimitEnforced) {
   Program p;
   p.define("Grow", {"n"}, prefix("A", call("Grow", {evar("n") + lit(1)})));
@@ -489,6 +507,142 @@ TEST(Generate, GeneratedLtsIsFullyReachable) {
   const Program p = buffer_program();
   const Lts l = generate(p, "Buffer");
   EXPECT_EQ(lts::trim(l).removed_states, 0u);
+}
+
+// --- golden pins ----------------------------------------------------------------
+//
+// The planned-vs-flat and 1..N-worker identity tests compare two runs of the
+// same generator, so they cannot see a change both runs share.  These pins
+// fix the exact .aut output (untrimmed), so any change to the generator that
+// alters one byte of it fails here.
+
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Generate, GoldenEdgeRouter3x3) {
+  Program p;
+  const noc::MeshDims dims{3, 3, 1};
+  const std::string entry =
+      noc::add_router(p, dims, 1, noc::default_ports(dims, 1));
+  const Lts l = generate(p, entry);
+  EXPECT_EQ(l.num_states(), 94080u);
+  EXPECT_EQ(l.num_transitions(), 644000u);
+  EXPECT_EQ(fnv1a64(lts::to_aut(l)), 0x79ea9cb68f5dc3feull);
+}
+
+// Parallel operands built from >>/exit, hide and rename, with value passing
+// and multiway synchronisation.
+constexpr const char* kMixedModel = R"(
+process Stage (v) := IN ?x:0..2 ; MID !((x + v) % 3) ; exit endproc
+process Loop (v) := Stage (v) >> Loop ((v + 1) % 2) endproc
+process Sink := MID ?y:0..2 ; ((OUT !y ; exit) [] (DROP ; exit)) >> Sink endproc
+process Worker (id) := REQ !id ; WORK !id ; DONE !id ; Worker (id) endproc
+process Arbiter := REQ ?k:1..2 ; DONE !k ; OUT ?z:0..2 ; Arbiter endproc
+process Fork := ((A !1 ; exit) ||| (B !2 ; exit)) >> Fork endproc
+process System :=
+  ((hide MID in (Loop (0) |[MID]| Sink))
+   |[OUT]|
+   ((rename WORK -> BUSY in (Worker (1) ||| Worker (2))) |[REQ, DONE]| Arbiter))
+  ||| Fork
+endproc
+)";
+
+TEST(Generate, GoldenMixedOperators) {
+  const Program p = parse_program(kMixedModel);
+  const Lts l = generate(p, "System");
+  EXPECT_EQ(l.num_states(), 1200u);
+  EXPECT_EQ(l.num_transitions(), 4884u);
+  EXPECT_EQ(fnv1a64(lts::to_aut(l)), 0xe0455f444f7fb6cfull);
+}
+
+// --- errors inside parallel operands ---------------------------------------------
+//
+// Successors of parallel operands are memoised.  An operand whose successors
+// throw must throw every time it is reached, and the depth bound must hold
+// wherever a memoised operand is reused.
+
+TEST(Generate, UnguardedRecursionInOperandAfterSteps) {
+  const Program p = parse_program(R"(
+    process Loop := Loop endproc
+    process Count (n) := [n < 3] -> A ; Count (n + 1) [] [n == 3] -> Loop endproc
+    process Clock := TICK ; Clock endproc
+    process System := Count (0) ||| Clock endproc
+  )");
+  EXPECT_THROW((void)generate(p, "System"), UnguardedRecursion);
+  EXPECT_THROW((void)find_deadlock(p, "System"), UnguardedRecursion);
+}
+
+TEST(Generate, DivisionByZeroInOperandAfterSteps) {
+  const Program p = parse_program(R"(
+    process Div (n) := A !(10 / (2 - n)) ; Div (n + 1) endproc
+    process Clock := TICK ; Clock endproc
+    process System := Clock ||| Div (0) endproc
+  )");
+  EXPECT_THROW((void)generate(p, "System"), std::domain_error);
+
+  // A failed successor computation leaves no partial memo entry behind:
+  // asking an explorer twice for the failing state throws twice.
+  TermExplorer ex(p, call("System"));
+  std::string state = ex.initial();
+  for (int step = 0; step < 2; ++step) {
+    bool advanced = false;
+    for (const TermExplorer::Move& m : ex.successors(state)) {
+      if (m.label.rfind("A !", 0) == 0) {
+        state = m.dst;
+        advanced = true;
+        break;
+      }
+    }
+    ASSERT_TRUE(advanced);
+  }
+  EXPECT_THROW((void)ex.successors(state), std::domain_error);
+  EXPECT_THROW((void)ex.successors(state), std::domain_error);
+}
+
+TEST(Generate, StateLimitInParallelModel) {
+  const Program p = parse_program(R"(
+    process Grow (n) := UP ; Grow (n + 1) endproc
+    process Clock := TICK ; Clock endproc
+    process System := Grow (0) ||| Clock endproc
+  )");
+  GenerateOptions opts;
+  opts.max_states = 100;
+  EXPECT_THROW((void)generate(p, "System", {}, opts), StateSpaceLimit);
+}
+
+TEST(Generate, DepthBoundHoldsWhereMemoisedOperandIsReused) {
+  // The leaf of P sits two parallel levels deep on the left and three on
+  // the right; its successors unfold four calls deep (Q, R, S, stop).  With
+  // a bound of 6 the left copy fits and the right copy does not.
+  const Program p = parse_program(R"(
+    process S := stop endproc
+    process R := S endproc
+    process Q := R endproc
+    process P := A ; Q endproc
+    process System := (P ||| stop) ||| ((P ||| stop) ||| stop) endproc
+  )");
+  GenerateOptions opts;
+  opts.max_unfold_depth = 6;
+  EXPECT_THROW((void)generate(p, "System", {}, opts), UnguardedRecursion);
+  opts.max_unfold_depth = 7;
+  EXPECT_EQ(generate(p, "System", {}, opts).num_states(), 4u);
+}
+
+TEST(FindDeadlock, ShortestTraceInParallelModel) {
+  const Program p = parse_program(R"(
+    process Left := LOOP ; Left [] A ; S ; B ; stop endproc
+    process Right := C ; S ; stop endproc
+    process System := Left |[S]| Right endproc
+  )");
+  const DeadlockSearchResult r = find_deadlock(p, "System");
+  ASSERT_TRUE(r.found);
+  EXPECT_EQ(r.trace, (std::vector<std::string>{"A", "C", "S", "B"}));
 }
 
 }  // namespace
