@@ -120,7 +120,6 @@ int main() {
   for (const Case& c : cases) {
     // The pipeline case composes Cell0..Cell5 explicitly; the others plan
     // their entry process.  Both strategies evaluate the same root term.
-    const compose::PlanOptions popts;
     TermPtr root = call(c.entry, {});
     if (c.name.rfind("buffer", 0) == 0) {
       std::vector<std::string> gates;
@@ -131,10 +130,9 @@ int main() {
       }
       root = hide(gates, root);
     }
-    const compose::Plan plan = compose::plan_term(c.program, root, popts);
-    const compose::PlanResult planned = compose::evaluate_plan(plan, popts);
-    const compose::PlanResult flat =
-        compose::flat_reference(c.program, root, popts);
+    const compose::Plan plan = compose::plan_term(c.program, root);
+    const compose::PlanResult planned = compose::evaluate_plan(plan);
+    const compose::PlanResult flat = compose::flat_reference(c.program, root);
     std::ostringstream a;
     std::ostringstream b;
     explore::write_lts_stream(a, planned.lts);

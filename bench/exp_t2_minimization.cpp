@@ -79,11 +79,10 @@ int main() {
   const auto peak_row = [&](const std::string& name,
                             std::shared_ptr<const proc::Program> p,
                             const std::string& entry) {
-    const compose::PlanOptions opts;
     const compose::PlanResult planned =
-        compose::evaluate_plan(compose::plan_program(p, entry, opts), opts);
+        compose::evaluate_plan(compose::plan_program(p, entry));
     const compose::PlanResult flat =
-        compose::flat_reference(p, proc::call(entry), opts);
+        compose::flat_reference(p, proc::call(entry));
     peaks.add_row(
         {name, std::to_string(flat.stats.peak_states),
          std::to_string(planned.stats.peak_states),

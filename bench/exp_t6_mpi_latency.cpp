@@ -78,11 +78,10 @@ int main() {
   cfg.rounds = 4;
   const auto program = std::make_shared<const proc::Program>(
       pingpong_program(cfg));
-  const compose::PlanOptions popts;
-  const compose::PlanResult planned = compose::evaluate_plan(
-      compose::plan_program(program, "PingPong", popts), popts);
+  const compose::PlanResult planned =
+      compose::evaluate_plan(compose::plan_program(program, "PingPong"));
   const compose::PlanResult flat =
-      compose::flat_reference(program, proc::call("PingPong"), popts);
+      compose::flat_reference(program, proc::call("PingPong"));
   peaks.add_row({"monolithic", std::to_string(flat.stats.peak_states),
                  std::to_string(flat.lts.num_states())});
   peaks.add_row({"planned", std::to_string(planned.stats.peak_states),

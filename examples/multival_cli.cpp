@@ -313,8 +313,8 @@ int cmd_explore(int argc, char** argv) {
     }
     compose::PlanOptions popts;
     popts.workers = opts.workers;
-    const compose::Plan plan = compose::plan_term(
-        program, proc::call(entry, std::move(eargs)), popts);
+    const compose::Plan plan =
+        compose::plan_term(program, proc::call(entry, std::move(eargs)));
     print_plan(plan);
     const compose::PlanResult r = compose::evaluate_plan(plan, popts);
     r.stats.to_table("explore " + entry).print(std::cout);
@@ -791,7 +791,7 @@ int cmd_compose(int argc, char** argv) {
         proc::parse_program(read_file(model_path)));
   }
 
-  const compose::Plan plan = compose::plan_program(program, entry, popts);
+  const compose::Plan plan = compose::plan_program(program, entry);
   print_plan(plan);
   if (plan.planned) {
     std::cout << "components:";
@@ -803,8 +803,8 @@ int cmd_compose(int argc, char** argv) {
   if (flat) {
     // Baseline only: the monolithic generate-then-minimise pipeline in the
     // same canonical normal form.
-    compose::PlanResult r = compose::flat_reference(
-        program, proc::call(entry, {}), popts);
+    compose::PlanResult r =
+        compose::flat_reference(program, proc::call(entry, {}));
     r.stats.to_table("compose --flat " + entry).print(std::cout);
     std::cout << entry << ": " << r.lts.num_states() << " states, "
               << r.lts.num_transitions() << " transitions (flat reference)\n";
@@ -828,8 +828,8 @@ int cmd_compose(int argc, char** argv) {
                          2)
             << "x final)\n";
 
-  const compose::PlanResult reference = compose::flat_reference(
-      program, proc::call(entry, {}), popts);
+  const compose::PlanResult reference =
+      compose::flat_reference(program, proc::call(entry, {}));
   std::ostringstream a;
   std::ostringstream b;
   explore::write_lts_stream(a, planned.lts);

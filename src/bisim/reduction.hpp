@@ -1,14 +1,7 @@
-// Reduction entry points for the compositional pipeline (compose/plan):
-//
-//   - tau_compress: collapse inert tau *chains* — states whose unique
-//     outgoing transition is tau are bisimilar to their successor, so the
-//     chain contracts to its endpoint.  Tau cycles made entirely of such
-//     states contract to one representative that keeps a tau self-loop, so
-//     the reduction is divergence-preserving (livelocks survive).  This is
-//     the cheap O(states + transitions) pass applied on the fly to every
-//     intermediate product (see explore::tau_compress for the oracle
-//     variant); full branching minimisation still runs at the plan's
-//     minimisation points.
+// Normal forms for the compositional pipeline (compose/plan).  The inert
+// tau-chain contraction applied to every intermediate product lives in the
+// explore layer (explore::tau_compress), where it runs while the product is
+// generated.
 //
 //   - canonical_form: an isomorphism-invariant renumbering.  On a
 //     bisimulation-minimal LTS (no two states equivalent — which every
@@ -25,12 +18,6 @@
 #include "lts/lts.hpp"
 
 namespace multival::bisim {
-
-/// Contracts every maximal chain/cycle of states whose single outgoing
-/// transition is tau ("i").  Divergence-preserving: a contracted tau cycle
-/// keeps a tau self-loop on its representative.  Duplicate transitions
-/// created by the contraction are dropped (set semantics, like quotients).
-[[nodiscard]] lts::Lts tau_compress(const lts::Lts& l);
 
 /// Deterministic, isomorphism-invariant renumbering: states are ordered by
 /// iterated strong-bisimulation signature ranks (initial state first),

@@ -9,11 +9,9 @@
 #include <unordered_map>
 #include <utility>
 
-#include "bisim/reduction.hpp"
 #include "core/sync.hpp"
 #include "explore/engine.hpp"
 #include "explore/oracle.hpp"
-#include "lts/product.hpp"
 
 namespace multival::compose {
 
@@ -96,84 +94,72 @@ void record(EvalStats* stats, const std::string& what, const lts::Lts& l,
 
 class Evaluator {
  public:
-  explicit Evaluator(const EvalOptions& opts) : opts_(opts) {}
+  Evaluator(bool with_minimization, EvalStats* stats, MinimizeCache* cache,
+            unsigned workers)
+      : with_minimization_(with_minimization),
+        stats_(stats),
+        cache_(cache),
+        workers_(workers == 0 ? 1 : workers) {}
 
   lts::Lts eval(const Node& n) {
     switch (n.kind) {
       case Node::Kind::kLeaf: {
         const StepTimer timer;
         lts::Lts l = n.generator();
-        record(opts_.stats, "generate " + n.name, l, l.num_states(),
+        record(stats_, "generate " + n.name, l, l.num_states(),
                timer.seconds());
         return l;
       }
-      case Node::Kind::kPar: {
-        const lts::Lts a = eval(*n.children[0]);
-        const lts::Lts b = eval(*n.children[1]);
-        if (opts_.on_the_fly) {
-          return fly(a, b, n.gates, {});
-        }
-        const StepTimer timer;
-        lts::Lts p = lts::parallel(a, b, n.gates);
-        record(opts_.stats, "compose", p, p.num_states(), timer.seconds());
-        return p;
-      }
+      case Node::Kind::kPar:
+        return product(n, {});
       case Node::Kind::kHide: {
         // The planner's signature shape is hide-over-par: fuse it into one
-        // on-the-fly exploration so gates hidden at this level become tau
-        // *during* product generation and their chains are never stored.
-        if (opts_.on_the_fly && n.children[0]->kind == Node::Kind::kPar) {
-          const Node& par = *n.children[0];
-          const lts::Lts a = eval(*par.children[0]);
-          const lts::Lts b = eval(*par.children[1]);
-          return fly(a, b, par.gates, n.gates);
+        // exploration so gates hidden at this level become tau *during*
+        // product generation and their chains are never stored.
+        if (n.children[0]->kind == Node::Kind::kPar) {
+          return product(*n.children[0], n.gates);
         }
-        lts::Lts inner = eval(*n.children[0]);
+        const lts::Lts inner = eval(*n.children[0]);
         const StepTimer timer;
-        lts::Lts h = lts::hide(inner, n.gates);
-        if (opts_.on_the_fly) {
-          h = bisim::tau_compress(h);
-        }
-        record(opts_.stats, "hide", h, h.num_states(), timer.seconds());
-        return h;
+        return run(explore::hide_oracle(explore::lts_oracle(inner), n.gates),
+                   "hide", timer);
       }
       case Node::Kind::kMinimize: {
-        if (opts_.with_minimization && opts_.cache != nullptr &&
-            !n.plan_key.empty()) {
+        if (with_minimization_ && cache_ != nullptr && !n.plan_key.empty()) {
           const StepTimer timer;
           if (std::optional<lts::Lts> cached =
-                  opts_.cache->lookup_subtree(n.plan_key)) {
-            record(opts_.stats, n.name + " (subtree cached)", *cached,
+                  cache_->lookup_subtree(n.plan_key)) {
+            record(stats_, n.name + " (subtree cached)", *cached,
                    cached->num_states(), timer.seconds());
             return *std::move(cached);
           }
         }
         lts::Lts inner = eval(*n.children[0]);
-        if (!opts_.with_minimization) {
+        if (!with_minimization_) {
           return inner;
         }
         const std::size_t before = inner.num_states();
         const StepTimer timer;
         lts::Lts reduced;
         bool from_cache = false;
-        if (opts_.cache != nullptr) {
+        if (cache_ != nullptr) {
           if (std::optional<lts::Lts> cached =
-                  opts_.cache->lookup(inner, n.equivalence)) {
+                  cache_->lookup(inner, n.equivalence)) {
             reduced = *std::move(cached);
             from_cache = true;
           }
         }
         if (!from_cache) {
           reduced = bisim::minimize(inner, n.equivalence).quotient;
-          if (opts_.cache != nullptr) {
-            opts_.cache->store(inner, n.equivalence, reduced);
+          if (cache_ != nullptr) {
+            cache_->store(inner, n.equivalence, reduced);
           }
         }
-        if (opts_.cache != nullptr && !n.plan_key.empty()) {
-          opts_.cache->store_subtree(n.plan_key, reduced);
+        if (cache_ != nullptr && !n.plan_key.empty()) {
+          cache_->store_subtree(n.plan_key, reduced);
         }
-        record(opts_.stats, from_cache ? n.name + " (cached)" : n.name,
-               reduced, before, timer.seconds());
+        record(stats_, from_cache ? n.name + " (cached)" : n.name, reduced,
+               before, timer.seconds());
         return reduced;
       }
     }
@@ -181,31 +167,40 @@ class Evaluator {
   }
 
  private:
-  /// On-the-fly `hide hidden in (a |[sync]| b)` with inert-tau contraction:
-  /// only the compressed product is ever stored by the engine.
-  lts::Lts fly(const lts::Lts& a, const lts::Lts& b,
-               const std::vector<std::string>& sync,
-               const std::vector<std::string>& hidden) {
+  /// `hide hidden in (a |[sync]| b)` for the operands of kPar node @p par.
+  lts::Lts product(const Node& par, const std::vector<std::string>& hidden) {
+    const lts::Lts a = eval(*par.children[0]);
+    const lts::Lts b = eval(*par.children[1]);
     const StepTimer timer;
-    explore::OraclePtr oracle =
-        explore::product_oracle(explore::lts_oracle(a), explore::lts_oracle(b),
-                                sync);
+    explore::OraclePtr oracle = explore::product_oracle(
+        explore::lts_oracle(a), explore::lts_oracle(b), par.gates);
     if (!hidden.empty()) {
       oracle = explore::hide_oracle(std::move(oracle), hidden);
     }
-    oracle = explore::tau_compress(std::move(oracle));
+    return run(std::move(oracle),
+               hidden.empty() ? "compose (on the fly)"
+                              : "compose+hide (on the fly)",
+               timer);
+  }
+
+  /// Explores @p oracle, contracting inert tau chains on the fly when
+  /// reducing: only the compressed intermediate is ever stored.
+  lts::Lts run(explore::OraclePtr oracle, const char* what,
+               const StepTimer& timer) {
+    if (with_minimization_) {
+      oracle = explore::tau_compress(std::move(oracle));
+    }
     explore::ExploreOptions eo;
-    eo.workers = opts_.workers == 0 ? 1 : opts_.workers;
-    eo.max_states = opts_.max_states;
+    eo.workers = workers_;
     explore::ExploreResult r = explore::explore(*oracle, eo);
-    record(opts_.stats,
-           hidden.empty() ? "compose (on the fly)"
-                          : "compose+hide (on the fly)",
-           r.lts, r.lts.num_states(), timer.seconds());
+    record(stats_, what, r.lts, r.lts.num_states(), timer.seconds());
     return std::move(r.lts);
   }
 
-  const EvalOptions& opts_;
+  bool with_minimization_;
+  EvalStats* stats_;
+  MinimizeCache* cache_;
+  unsigned workers_;
 };
 
 /// Estimated resident bytes of a cached LTS (budgeting, not accounting).
@@ -384,19 +379,12 @@ std::size_t LruMinimizeCache::bytes() const {
 // ---- evaluation entry points ------------------------------------------------
 
 lts::Lts evaluate(const NodePtr& root, bool with_minimization,
-                  EvalStats* stats, MinimizeCache* min_cache) {
-  EvalOptions opts;
-  opts.with_minimization = with_minimization;
-  opts.stats = stats;
-  opts.cache = min_cache;
-  return evaluate(root, opts);
-}
-
-lts::Lts evaluate(const NodePtr& root, const EvalOptions& opts) {
+                  EvalStats* stats, MinimizeCache* min_cache,
+                  unsigned workers) {
   if (root == nullptr) {
     throw std::invalid_argument("compose::evaluate: null root");
   }
-  return Evaluator(opts).eval(*root);
+  return Evaluator(with_minimization, stats, min_cache, workers).eval(*root);
 }
 
 Comparison compare_strategies(const NodePtr& root) {

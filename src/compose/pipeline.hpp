@@ -6,8 +6,10 @@
 // generators), parallel compositions, hidings and minimisation points.
 // Evaluating it with minimisation enabled implements the compositional
 // strategy; evaluating with minimisation disabled measures the monolithic
-// baseline.  Peak intermediate sizes are recorded so bench exp_f8 can show
-// how the compositional strategy controls state-space explosion.
+// baseline.  There is one product construction: every parallel composition
+// and hiding is explored on the fly (explore/oracle.hpp), never built from
+// a stored product.  Peak intermediate sizes are recorded so bench exp_f8
+// can show how the compositional strategy controls state-space explosion.
 #pragma once
 
 #include <cstdint>
@@ -140,30 +142,21 @@ class LruMinimizeCache final : public MinimizeCache {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Evaluates the expression.  @p with_minimization toggles the minimisation
-/// points; @p stats (optional) receives size records; @p min_cache
-/// (optional) short-circuits minimisation points whose input was already
-/// minimised (cached steps are recorded with a "(cached)" suffix).
+/// Evaluates the expression.  Every kPar node and every kHide node is one
+/// on-the-fly exploration (explore::explore over product_oracle, with
+/// hide_oracle fused in for hide-over-par, or hide_oracle(lts_oracle(child))
+/// for any other hide), run on @p workers threads (0 = 1) and capped at the
+/// engine's default state limit (explore::LimitExceeded beyond it).
+/// @p with_minimization toggles the reduction: the minimisation points, and
+/// explore::tau_compress around every exploration so inert tau chains are
+/// contracted while the intermediate is generated and never stored.
+/// @p stats (optional) receives size records; @p min_cache (optional)
+/// short-circuits minimisation points whose input was already minimised
+/// (cached steps are recorded with a "(cached)" suffix).
 [[nodiscard]] lts::Lts evaluate(const NodePtr& root, bool with_minimization,
                                 EvalStats* stats = nullptr,
-                                MinimizeCache* min_cache = nullptr);
-
-/// Full-control evaluation options (the planned pipeline's entry point).
-struct EvalOptions {
-  bool with_minimization = true;
-  /// Build kPar / kHide(kPar) intermediates through the explore engine with
-  /// explore::tau_compress wrapped around the product, so inert tau chains
-  /// are contracted *while the product is generated* and never stored.
-  bool on_the_fly = false;
-  /// Worker threads for on-the-fly product exploration.
-  unsigned workers = 1;
-  /// State cap per intermediate (explore::LimitExceeded beyond it).
-  std::size_t max_states = 1u << 22;
-  EvalStats* stats = nullptr;
-  MinimizeCache* cache = nullptr;
-};
-
-[[nodiscard]] lts::Lts evaluate(const NodePtr& root, const EvalOptions& opts);
+                                MinimizeCache* min_cache = nullptr,
+                                unsigned workers = 1);
 
 /// Convenience: compositional vs monolithic comparison.
 struct Comparison {

@@ -22,6 +22,12 @@ using analyze::GateSet;
 using proc::Term;
 using proc::TermPtr;
 
+/// Equivalence of every per-join and final minimisation point.
+constexpr bisim::Equivalence kEquivalence =
+    bisim::Equivalence::kDivergenceBranching;
+/// Score weight of a newly hideable gate relative to a shared gate.
+constexpr double kHideWeight = 0.5;
+
 // ---- structural plan keys ---------------------------------------------------
 
 /// 128-bit FNV-1a over a string, rendered as 32 hex chars.  Plan keys are
@@ -277,10 +283,10 @@ std::vector<std::string> newly_hideable(
 }
 
 NodePtr leaf_of(std::shared_ptr<const proc::Program> program,
-                const Component& c, std::size_t max_states) {
+                const Component& c) {
   const TermPtr term = c.term;
   proc::GenerateOptions go;
-  go.max_states = max_states;
+  go.max_states = kMaxComponentStates;
   return leaf(
       [program, term, go]() {
         return proc::generate_term(*program, term, go);
@@ -312,8 +318,8 @@ struct StaticSkip {
   std::vector<std::uint64_t> component_bounds;
 };
 
-Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
-                const PlanOptions& opts) {
+Plan build_plan(std::shared_ptr<const proc::Program> program,
+                TermPtr root) {
   const std::map<std::string, GateSet> defs = analyze::alphabets(*program);
   Flattener flat(*program, defs);
   flat.walk(root);
@@ -331,17 +337,17 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
   // doomed — typically a counter whose ceiling lives in a synchronising
   // peer, like the xstream credit loop — so route to monolithic now
   // instead of paying the capped generation before the runtime fallback.
-  const std::size_t cap = std::min(opts.max_states, opts.max_component_states);
   std::vector<std::string> skips;
   for (std::size_t i = 0; i < flat.components.size(); ++i) {
     const Component& c = flat.components[i];
     plan.component_bounds.push_back(
         analyze::predicted_states(*program, c.term));
     const std::uint64_t pred = plan.component_bounds.back();
-    if (flat.components.size() > 1 && pred > cap) {
+    if (flat.components.size() > 1 && pred > kMaxComponentStates) {
       skips.push_back("static skip (MV042): component '" + c.name +
                       "' predicted " + analyze::format_states(pred) +
-                      " states standalone (cap " + std::to_string(cap) + ")");
+                      " states standalone (cap " +
+                      std::to_string(kMaxComponentStates) + ")");
     }
   }
   if (!skips.empty()) {
@@ -356,8 +362,7 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
     Group g;
     g.members = {i};
     g.alpha = c.alpha;
-    g.node = leaf_of(program, c,
-                     std::min(opts.max_states, opts.max_component_states));
+    g.node = leaf_of(program, c);
     g.key = c.key;
     g.min_index = i;
     g.pred = plan.component_bounds[i];
@@ -374,8 +379,8 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
         g.alpha.erase(h);
       }
     }
-    g.node = minimize_here(std::move(g.node), opts.equivalence);
-    g.key = fnv128_hex("min(" + std::string(bisim::to_string(opts.equivalence)) +
+    g.node = minimize_here(std::move(g.node), kEquivalence);
+    g.key = fnv128_hex("min(" + std::string(bisim::to_string(kEquivalence)) +
                        "," + g.key + ")");
     const_cast<Node&>(*g.node).plan_key = g.key;
   };
@@ -400,9 +405,7 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
             newly_hideable(flat.hide_scopes, hidden, members).size();
         const double denom = uni.empty() ? 1.0 : double(uni.size());
         const double score =
-            (opts.sync_weight * double(inter.size()) +
-             opts.hide_weight * double(hideable)) /
-            denom;
+            (double(inter.size()) + kHideWeight * double(hideable)) / denom;
         // Equal scores are common (symmetric components): break the tie
         // towards the pair with the smaller predicted product, so the
         // cheapest intermediate is built first.
@@ -452,23 +455,19 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
 }
 
 Plan fallback_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
-                   const PlanOptions& opts, std::string reason) {
+                   std::string reason) {
   Plan plan;
   plan.planned = false;
   plan.fallback_reason = std::move(reason);
   plan.components = {"flat"};
   plan.program = program;
   plan.term = root;
-  proc::GenerateOptions go;
-  go.max_states = opts.max_states;
   NodePtr l = leaf(
-      [program, root, go]() {
-        return proc::generate_term(*program, root, go);
-      },
+      [program, root]() { return proc::generate_term(*program, root); },
       "flat");
-  NodePtr m = minimize_here(std::move(l), opts.equivalence);
+  NodePtr m = minimize_here(std::move(l), kEquivalence);
   const_cast<Node&>(*m).plan_key =
-      fnv128_hex("min(" + std::string(bisim::to_string(opts.equivalence)) +
+      fnv128_hex("min(" + std::string(bisim::to_string(kEquivalence)) +
                  ",flat," + leaf_key(*program, root) + ")");
   plan.root = m;
   plan.grammar = render_node(*plan.root);
@@ -481,24 +480,23 @@ const char* to_string(Strategy s) {
   return s == Strategy::kPlanned ? "planned" : "flat";
 }
 
-Plan plan_term(std::shared_ptr<const proc::Program> program, TermPtr root,
-               const PlanOptions& opts) {
+Plan plan_term(std::shared_ptr<const proc::Program> program, TermPtr root) {
   if (program == nullptr || root == nullptr) {
     throw std::invalid_argument("compose::plan_term: null program or term");
   }
   try {
-    Plan plan = build_plan(program, root, opts);
+    Plan plan = build_plan(program, root);
     if (plan.components.size() < 2) {
-      return fallback_plan(program, root, opts,
+      return fallback_plan(program, root,
                            "no parallel structure to reassociate");
     }
     plan.program = program;
     plan.term = root;
     return plan;
   } catch (const NotPlannable& np) {
-    return fallback_plan(program, root, opts, np.reason);
+    return fallback_plan(program, root, np.reason);
   } catch (const StaticSkip& skip) {
-    Plan plan = fallback_plan(program, root, opts, skip.reason);
+    Plan plan = fallback_plan(program, root, skip.reason);
     plan.static_skips = skip.skips;
     plan.component_bounds = skip.component_bounds;
     return plan;
@@ -506,8 +504,8 @@ Plan plan_term(std::shared_ptr<const proc::Program> program, TermPtr root,
 }
 
 Plan plan_program(std::shared_ptr<const proc::Program> program,
-                  std::string_view entry, const PlanOptions& opts) {
-  return plan_term(program, proc::call(entry), opts);
+                  std::string_view entry) {
+  return plan_term(program, proc::call(entry));
 }
 
 std::string render_plan(const Plan& plan) {
@@ -526,13 +524,10 @@ PlanResult evaluate_plan(const Plan& plan, const PlanOptions& opts,
   for (const std::string& skip : plan.static_skips) {
     result.stats.steps.push_back({skip, 0, 0, 0.0});
   }
-  EvalOptions eo;
-  eo.with_minimization = true;
-  eo.on_the_fly = opts.reduce_on_the_fly;
-  eo.workers = opts.workers;
-  eo.max_states = opts.max_states;
-  eo.stats = &result.stats;
-  eo.cache = cache;
+  const auto run = [&](const Plan& p) {
+    return evaluate(p.root, /*with_minimization=*/true, &result.stats, cache,
+                    opts.workers);
+  };
   // A component can blow past the cap *standalone* when its bound lives in
   // a peer (e.g. a credit counter whose ceiling is the other operand).  The
   // composed system may still be small: retry monolithically, where the
@@ -543,39 +538,34 @@ PlanResult evaluate_plan(const Plan& plan, const PlanOptions& opts,
     }
     result.stats.steps.push_back(
         {std::string("monolithic fallback (") + what + ")", 0, 0, 0.0});
-    const Plan retry =
-        fallback_plan(plan.program, plan.term, opts,
-                      std::string("component exceeded the state cap: ") +
-                          what);
-    return evaluate(retry.root, eo);
+    return run(fallback_plan(
+        plan.program, plan.term,
+        std::string("component exceeded the state cap: ") + what));
   };
   lts::Lts minimal;
   try {
-    minimal = evaluate(plan.root, eo);
+    minimal = run(plan);
   } catch (const proc::StateSpaceLimit& e) {
     minimal = monolithic_retry(e.what());
   } catch (const explore::LimitExceeded& e) {
     minimal = monolithic_retry(e.what());
   }
   // The root is a minimisation point, so `minimal` is minimal modulo
-  // opts.equivalence; the canonical form is therefore isomorphism-invariant
-  // and byte-identical across planned / flat / re-planned evaluations.
+  // divergence-preserving branching bisimulation; the canonical form is
+  // therefore isomorphism-invariant and byte-identical across planned /
+  // flat / re-planned evaluations.
   result.lts = bisim::canonical_form(minimal);
   return result;
 }
 
 PlanResult flat_reference(std::shared_ptr<const proc::Program> program,
-                          TermPtr root, const PlanOptions& opts,
-                          MinimizeCache* cache) {
+                          TermPtr root, MinimizeCache* cache) {
   if (program == nullptr || root == nullptr) {
     throw std::invalid_argument(
         "compose::flat_reference: null program or term");
   }
-  PlanOptions flat_opts = opts;
-  flat_opts.reduce_on_the_fly = false;
-  return evaluate_plan(
-      fallback_plan(program, root, flat_opts, "flat reference"), flat_opts,
-      cache);
+  return evaluate_plan(fallback_plan(program, root, "flat reference"), {},
+                       cache);
 }
 
 lts::Lts pipeline_lts(std::shared_ptr<const proc::Program> program,
@@ -585,11 +575,9 @@ lts::Lts pipeline_lts(std::shared_ptr<const proc::Program> program,
     throw std::invalid_argument("compose::pipeline_lts: null program");
   }
   if (strategy == Strategy::kFlat) {
-    proc::GenerateOptions go;
-    go.max_states = opts.max_states;
-    return proc::generate(*program, entry, {}, go);
+    return proc::generate(*program, entry);
   }
-  return evaluate_plan(plan_program(program, entry, opts), opts, cache).lts;
+  return evaluate_plan(plan_program(program, entry), opts, cache).lts;
 }
 
 }  // namespace multival::compose

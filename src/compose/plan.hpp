@@ -10,8 +10,7 @@
 // repeatedly merging the pair of component groups with the best predicted
 // reduction:
 //
-//     score(X, Y) = (w_sync * |A_X ∩ A_Y| + w_hide * |newly hideable|)
-//                   / |A_X ∪ A_Y|
+//     score(X, Y) = (|A_X ∩ A_Y| + 0.5 * |newly hideable|) / |A_X ∪ A_Y|
 //
 // where alphabets come from the analyze fixed point (analyze::term_alphabet
 // — syntax only, no state space).  Shared gates constrain the product
@@ -19,7 +18,8 @@
 // hidden immediately, turning them into tau for the on-the-fly reduction
 // (explore::tau_compress) and the per-join minimisation to erase.  Every
 // join is wrapped in hide (when gates become local) and a minimisation
-// point, so intermediates stay within a small multiple of the final LTS.
+// point modulo divergence-preserving branching bisimulation, so
+// intermediates stay within a small multiple of the final LTS.
 //
 // A term whose structure is not safely reassociable (or has no parallel
 // structure at all) falls back to a single-leaf plan — monolithic
@@ -38,7 +38,6 @@
 #include <string_view>
 #include <vector>
 
-#include "bisim/equivalence.hpp"
 #include "compose/pipeline.hpp"
 #include "lts/lts.hpp"
 #include "proc/process.hpp"
@@ -54,22 +53,14 @@ enum class Strategy {
 
 [[nodiscard]] const char* to_string(Strategy s);
 
+/// State cap on *standalone component* generation.  A component whose
+/// bound lives in a peer (a credit counter, a sequencer) is infinite on its
+/// own; hitting this cap makes evaluate_plan retry monolithically (where
+/// the peer constrains it) after a short detour instead of grinding to the
+/// generator's full cap first.
+inline constexpr std::size_t kMaxComponentStates = 1u << 17;
+
 struct PlanOptions {
-  /// Equivalence of the per-join and final minimisation points.
-  bisim::Equivalence equivalence = bisim::Equivalence::kDivergenceBranching;
-  /// Contract inert tau chains while each product is generated.
-  bool reduce_on_the_fly = true;
-  /// Heuristic weights (see file header).
-  double sync_weight = 1.0;
-  double hide_weight = 0.5;
-  /// State cap per intermediate product.
-  std::size_t max_states = 1u << 22;
-  /// Tighter cap on *standalone component* generation.  A component whose
-  /// bound lives in a peer (a credit counter, a sequencer) is infinite on
-  /// its own; hitting this cap makes evaluate_plan retry monolithically
-  /// (where the peer constrains it) after a short detour instead of
-  /// grinding to the full max_states first.
-  std::size_t max_component_states = 1u << 17;
   /// Worker threads for on-the-fly product exploration.
   unsigned workers = 1;
 };
@@ -89,7 +80,7 @@ struct Plan {
   /// doomed components *statically*: a component predicted to exceed the
   /// standalone cap never starts generating — the plan falls back to
   /// monolithic up front, recording a "static skip (MV042)" step, instead
-  /// of grinding to max_component_states first (the runtime overflow
+  /// of grinding to kMaxComponentStates first (the runtime overflow
   /// fallback in evaluate_plan remains as the backstop).
   std::vector<std::uint64_t> component_bounds;
   /// "static skip (MV042): ..." provenance lines; evaluate_plan replays
@@ -106,25 +97,25 @@ struct Plan {
 
 /// Plans the composition of closed behaviour term @p root of @p program.
 [[nodiscard]] Plan plan_term(std::shared_ptr<const proc::Program> program,
-                             proc::TermPtr root, const PlanOptions& opts = {});
+                             proc::TermPtr root);
 
 /// Plans `entry` (a zero-argument process) of @p program.
 [[nodiscard]] Plan plan_program(std::shared_ptr<const proc::Program> program,
-                                std::string_view entry,
-                                const PlanOptions& opts = {});
+                                std::string_view entry);
 
 /// Renders @p plan's tree as a grammar string, e.g.
 /// "min(hide M1 in (Cell0 |[..]| Cell1))" (also stored in Plan::grammar).
 [[nodiscard]] std::string render_plan(const Plan& plan);
 
 struct PlanResult {
-  lts::Lts lts;  ///< minimal modulo PlanOptions::equivalence, canonical form
+  lts::Lts lts;  ///< minimal (divergence-preserving branching), canonical
   EvalStats stats;
 };
 
-/// Evaluates @p plan (on-the-fly reduction per @p opts, minimisation
-/// results cached in @p cache when non-null, subtree reuse via plan keys)
-/// and returns the canonical minimal LTS.
+/// Evaluates @p plan (products explored on the fly with inert-tau
+/// contraction on @p opts.workers threads, minimisation results cached in
+/// @p cache when non-null, subtree reuse via plan keys) and returns the
+/// canonical minimal LTS.
 [[nodiscard]] PlanResult evaluate_plan(const Plan& plan,
                                        const PlanOptions& opts = {},
                                        MinimizeCache* cache = nullptr);
@@ -134,9 +125,10 @@ struct PlanResult {
 /// of the same term.
 [[nodiscard]] PlanResult flat_reference(
     std::shared_ptr<const proc::Program> program, proc::TermPtr root,
-    const PlanOptions& opts = {}, MinimizeCache* cache = nullptr);
+    MinimizeCache* cache = nullptr);
 
-/// Strategy dispatcher used by the fame/noc/xstream generators:
+/// Strategy dispatcher used by the fame/noc/xstream/xmas generators, and
+/// the one place where flat and planned generation are told apart:
 ///   kPlanned -> evaluate_plan(plan_program(...)).lts  (minimal, canonical)
 ///   kFlat    -> plain monolithic proc::generate (the legacy raw LTS)
 [[nodiscard]] lts::Lts pipeline_lts(

@@ -61,8 +61,8 @@ using OraclePtr = std::unique_ptr<SuccessorOracle>;
 [[nodiscard]] OraclePtr hide_oracle(OraclePtr inner,
                                     std::vector<std::string> gates);
 
-/// On-the-fly inert-tau chain contraction (the oracle form of
-/// bisim::tau_compress): every successor whose unique outgoing transition
+/// On-the-fly inert-tau chain contraction (the reduction compose::evaluate
+/// applies to every intermediate it explores): every successor whose unique outgoing transition
 /// is tau is replaced by the endpoint of its tau chain, so inert chains are
 /// never stored by the engine at all.  Tau cycles made of such states
 /// contract to their lexicographically smallest member, which keeps a tau

@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "core/report.hpp"
-#include "lts/analysis.hpp"
-#include "proc/generator.hpp"
 
 namespace multival::fame {
 
@@ -361,9 +359,6 @@ lts::Lts coherence_system_n_lts(Protocol protocol, int nodes,
       std::string("fame: coherence system (") + to_string(protocol) + ", " +
           std::to_string(nodes) + " nodes)",
       [&] {
-        if (strategy == compose::Strategy::kFlat) {
-          return lts::trim(generate(*p, "SystemN")).lts;
-        }
         return compose::pipeline_lts(p, "SystemN", strategy, {}, cache);
       });
 }

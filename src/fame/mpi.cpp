@@ -154,9 +154,6 @@ Program pingpong_program(const PingPongConfig& config) {
 lts::Lts pingpong_lts(const PingPongConfig& config, compose::Strategy strategy,
                       compose::MinimizeCache* cache) {
   auto p = std::make_shared<const Program>(pingpong_program(config));
-  if (strategy == compose::Strategy::kFlat) {
-    return lts::trim(generate(*p, "PingPong")).lts;
-  }
   return compose::pipeline_lts(p, "PingPong", strategy, {}, cache);
 }
 

@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "core/report.hpp"
-#include "lts/analysis.hpp"
-#include "proc/generator.hpp"
 
 namespace multival::noc {
 
@@ -140,9 +138,6 @@ lts::Lts single_packet_lts(int src, int dst, bool hide_links,
       "noc: single packet " + std::to_string(src) + "->" +
           std::to_string(dst),
       [&] {
-        if (strategy == compose::Strategy::kFlat) {
-          return lts::trim(generate(*p, "Scenario")).lts;
-        }
         return compose::pipeline_lts(p, "Scenario", strategy, {}, cache);
       });
 }
@@ -182,9 +177,6 @@ lts::Lts stream_lts(const std::vector<Flow>& flows, bool hide_links,
   return core::timed_generation(
       "noc: stream (" + std::to_string(flows.size()) + " flows)",
       [&] {
-        if (strategy == compose::Strategy::kFlat) {
-          return lts::trim(generate(*p, "Scenario")).lts;
-        }
         return compose::pipeline_lts(p, "Scenario", strategy, {}, cache);
       });
 }

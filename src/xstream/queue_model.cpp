@@ -213,9 +213,6 @@ lts::Lts drain_scenario_lts(const QueueConfig& cfg, int items,
       "xstream: drain scenario (cap " + std::to_string(cfg.capacity) +
           ", items " + std::to_string(items) + ")",
       [&] {
-        if (strategy == compose::Strategy::kFlat) {
-          return lts::trim(generate(*p, "DrainScenario")).lts;
-        }
         return compose::pipeline_lts(p, "DrainScenario", strategy, {}, cache);
       });
 }

@@ -3,11 +3,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <sstream>
 
 #include "compose/pipeline.hpp"
+#include "compose/plan.hpp"
 #include "core/flow.hpp"
 #include "core/report.hpp"
+#include "lts/lts_io.hpp"
 #include "markov/absorption.hpp"
 #include "markov/steady.hpp"
 #include "phase/phase_type.hpp"
@@ -109,14 +112,15 @@ TEST(Simulator, DeterministicSeeding) {
 
 // --- composition pipeline ------------------------------------------------------------
 
-Program pipeline_program(int cells) {
+/// A pipeline of @p cells one-place buffers over values 0..max_value.
+Program pipeline_program(int cells, int max_value = 1) {
   Program p;
   for (int i = 0; i < cells; ++i) {
     const std::string in = i == 0 ? "IN" : "M" + std::to_string(i);
     const std::string out =
         i == cells - 1 ? "OUT" : "M" + std::to_string(i + 1);
     p.define("Cell" + std::to_string(i), {},
-             prefix(in, {accept("x", 0, 1)},
+             prefix(in, {accept("x", 0, max_value)},
                     prefix(out, {emit(evar("x"))},
                            call("Cell" + std::to_string(i)))));
   }
@@ -154,6 +158,65 @@ TEST(Pipeline, MinimizeNodeShrinks) {
   const lts::Lts reduced = compose::evaluate(tree, true, &stats);
   const lts::Lts full = compose::evaluate(tree, false);
   EXPECT_LT(reduced.num_states(), full.num_states());
+}
+
+// The F8 exhibit's hand-built trees: cell0, then per further cell i
+// min(hide Mi in (acc |[Mi]| cell_i)), buffers over values 0..2.
+compose::NodePtr f8_tree(const Program& p, int cells) {
+  auto cell = [&p](int i) {
+    return compose::leaf(
+        [&p, i]() { return generate(p, "Cell" + std::to_string(i)); },
+        "cell" + std::to_string(i));
+  };
+  compose::NodePtr acc = cell(0);
+  for (int i = 1; i < cells; ++i) {
+    const std::string mid = "M" + std::to_string(i);
+    acc = compose::minimize_here(
+        compose::hide_gates({mid}, compose::compose2(acc, {mid}, cell(i))));
+  }
+  return acc;
+}
+
+TEST(Pipeline, F8BufferTreesKeepTheirNumbers) {
+  // Monolithic peaks are 4^cells; the minimal pipeline has (3^(cells+1)-1)/2
+  // states.  The compositional peak may only fall below the values the
+  // stored-product evaluation reached (16/52/160/484/1456).
+  const std::size_t monolithic[] = {16, 64, 256, 1024, 4096};
+  const std::size_t final_states[] = {13, 40, 121, 364, 1093};
+  const std::size_t compositional_max[] = {16, 52, 160, 484, 1456};
+  for (int cells = 2; cells <= 6; ++cells) {
+    const Program p = pipeline_program(cells, 2);
+    const auto cmp = compose::compare_strategies(f8_tree(p, cells));
+    const std::size_t k = static_cast<std::size_t>(cells - 2);
+    EXPECT_EQ(cmp.monolithic.peak_states, monolithic[k]) << cells << " cells";
+    ASSERT_FALSE(cmp.compositional.steps.empty());
+    EXPECT_EQ(cmp.compositional.steps.back().states_after, final_states[k])
+        << cells << " cells";
+    EXPECT_TRUE(cmp.equivalent) << cells << " cells";
+    EXPECT_LE(cmp.compositional.peak_states, compositional_max[k])
+        << cells << " cells";
+  }
+}
+
+TEST(Pipeline, BufferPlanIsIdenticalAcrossWorkerCounts) {
+  // The F8b buffer case: hide M1..M5 in Cell0 |[M1]| Cell1 ... |[M5]| Cell5.
+  const auto p = std::make_shared<const Program>(pipeline_program(6, 2));
+  TermPtr root = call("Cell0", {});
+  std::vector<std::string> gates;
+  for (int i = 1; i < 6; ++i) {
+    const std::string mid = "M" + std::to_string(i);
+    root = par(root, {mid}, call("Cell" + std::to_string(i), {}));
+    gates.push_back(mid);
+  }
+  const compose::Plan plan = compose::plan_term(p, hide(gates, root));
+  ASSERT_TRUE(plan.planned) << plan.fallback_reason;
+  const compose::PlanResult one = compose::evaluate_plan(plan, {1});
+  EXPECT_EQ(one.lts.num_states(), 1093u);
+  for (const unsigned workers : {2u, 4u}) {
+    const compose::PlanResult many = compose::evaluate_plan(plan, {workers});
+    EXPECT_EQ(lts::to_aut(many.lts), lts::to_aut(one.lts)) << workers;
+    EXPECT_EQ(many.stats.peak_states, one.stats.peak_states) << workers;
+  }
 }
 
 TEST(Pipeline, NullNodesRejected) {

@@ -1,14 +1,16 @@
 // Tests for the generate–minimise–compose pipeline (compose/plan and its
-// reduction entry points in bisim/reduction): planner determinism and
-// fallback provenance, byte-identity of the planned and flat strategies,
-// the peak-intermediate bound on the 3-node MESI case study (the F8
-// compositional exhibit, gated here in CI), the bounded minimisation cache
-// with its plan-keyed subtree tier, and the algebraic property that
-// minimising components before composing is branching-equivalent to
-// composing first.
+// reductions explore::tau_compress and bisim::canonical_form): planner
+// determinism and fallback provenance, byte-identity of the planned and
+// flat strategies and across worker counts, the peak-intermediate bound on
+// the 3-node MESI case study (the F8 compositional exhibit, gated here in
+// CI), golden flat outputs of the case-study generators, the bounded
+// minimisation cache with its plan-keyed subtree tier, and the algebraic
+// property that minimising components before composing is
+// branching-equivalent to composing first.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <random>
@@ -29,6 +31,7 @@
 #include "fame/topology.hpp"
 #include "imc/scheduler.hpp"
 #include "lts/lts.hpp"
+#include "lts/lts_io.hpp"
 #include "noc/mesh.hpp"
 #include "noc/perf.hpp"
 #include "proc/parser.hpp"
@@ -110,12 +113,11 @@ TEST(Planner, DuplicateHideFallsBack) {
 TEST(Planner, Mesi3NodePlannedMatchesFlatWithBoundedPeak) {
   const auto p = std::make_shared<const proc::Program>(
       fame::coherence_system_n_program(fame::Protocol::kMesi, 3));
-  const compose::PlanOptions opts;
-  const compose::Plan plan = compose::plan_program(p, "SystemN", opts);
+  const compose::Plan plan = compose::plan_program(p, "SystemN");
   ASSERT_TRUE(plan.planned) << plan.fallback_reason;
-  const compose::PlanResult planned = compose::evaluate_plan(plan, opts);
+  const compose::PlanResult planned = compose::evaluate_plan(plan);
   const compose::PlanResult flat =
-      compose::flat_reference(p, proc::call("SystemN", {}), opts);
+      compose::flat_reference(p, proc::call("SystemN", {}));
 
   // The acceptance gate of the compositional pipeline: byte-identical
   // results, peak intermediate within 4x of the final minimal LTS.
@@ -126,15 +128,27 @@ TEST(Planner, Mesi3NodePlannedMatchesFlatWithBoundedPeak) {
   EXPECT_LT(planned.stats.peak_states, flat.stats.peak_states);
 }
 
+TEST(Planner, Mesi3NodeIsIdenticalAcrossWorkerCounts) {
+  const auto p = std::make_shared<const proc::Program>(
+      fame::coherence_system_n_program(fame::Protocol::kMesi, 3));
+  const compose::Plan plan = compose::plan_program(p, "SystemN");
+  ASSERT_TRUE(plan.planned) << plan.fallback_reason;
+  const compose::PlanResult one = compose::evaluate_plan(plan, {1});
+  for (const unsigned workers : {2u, 4u}) {
+    const compose::PlanResult many = compose::evaluate_plan(plan, {workers});
+    EXPECT_EQ(serialized(many.lts), serialized(one.lts)) << workers;
+    EXPECT_EQ(many.stats.peak_states, one.stats.peak_states) << workers;
+  }
+}
+
 TEST(Planner, Mesh3x3PlannedMatchesFlat) {
   const auto p = std::make_shared<const proc::Program>(
       noc::single_packet_program(0, 8, /*hide_links=*/true,
                                  noc::MeshDims{3, 3}));
-  const compose::PlanOptions opts;
-  const compose::Plan plan = compose::plan_program(p, "Scenario", opts);
-  const compose::PlanResult planned = compose::evaluate_plan(plan, opts);
+  const compose::Plan plan = compose::plan_program(p, "Scenario");
+  const compose::PlanResult planned = compose::evaluate_plan(plan);
   const compose::PlanResult flat =
-      compose::flat_reference(p, proc::call("Scenario", {}), opts);
+      compose::flat_reference(p, proc::call("Scenario", {}));
   EXPECT_EQ(serialized(planned.lts), serialized(flat.lts));
   EXPECT_LE(planned.stats.peak_states, 4 * planned.lts.num_states());
 }
@@ -143,7 +157,7 @@ TEST(Planner, Mesh3x3PlannedMatchesFlat) {
 
 TEST(Planner, XstreamDrainIsStaticallySkipped) {
   // The drain scenario's pop side owes credits without a local ceiling, so
-  // generating it standalone can only grind to max_component_states and
+  // generating it standalone can only grind to kMaxComponentStates and
   // then take the runtime monolithic fallback.  The static bound analysis
   // proves this before any state exists: the plan must arrive as a
   // monolithic fallback with "static skip (MV042)" provenance, and the
@@ -153,8 +167,7 @@ TEST(Planner, XstreamDrainIsStaticallySkipped) {
   cfg.max_value = 0;
   const auto p = std::make_shared<const proc::Program>(
       xstream::drain_scenario_program(cfg, 3));
-  const compose::PlanOptions opts;
-  const compose::Plan plan = compose::plan_program(p, "DrainScenario", opts);
+  const compose::Plan plan = compose::plan_program(p, "DrainScenario");
   EXPECT_FALSE(plan.planned);
   ASSERT_FALSE(plan.static_skips.empty());
   EXPECT_NE(plan.static_skips[0].find("static skip (MV042)"),
@@ -162,7 +175,7 @@ TEST(Planner, XstreamDrainIsStaticallySkipped) {
   EXPECT_NE(plan.static_skips[0].find("PopSide"), std::string::npos);
   EXPECT_NE(plan.fallback_reason.find("MV042"), std::string::npos);
 
-  const compose::PlanResult planned = compose::evaluate_plan(plan, opts);
+  const compose::PlanResult planned = compose::evaluate_plan(plan);
   bool saw_static_skip = false;
   for (const compose::StepStat& s : planned.stats.steps) {
     if (s.description.find("static skip (MV042)") != std::string::npos) {
@@ -176,7 +189,7 @@ TEST(Planner, XstreamDrainIsStaticallySkipped) {
 
   // The static detour preserves the byte-identity contract.
   const compose::PlanResult flat =
-      compose::flat_reference(p, proc::call("DrainScenario", {}), opts);
+      compose::flat_reference(p, proc::call("DrainScenario", {}));
   EXPECT_EQ(serialized(planned.lts), serialized(flat.lts));
 }
 
@@ -188,11 +201,16 @@ TEST(Planner, ComponentBoundsAreRecorded) {
   ASSERT_EQ(plan.component_bounds.size(), plan.components.size());
   for (const std::uint64_t b : plan.component_bounds) {
     EXPECT_GT(b, 0u);
-    EXPECT_LT(b, compose::PlanOptions{}.max_component_states);
+    EXPECT_LT(b, compose::kMaxComponentStates);
   }
 }
 
 // ------------------------------------------------------ reduction entries --
+
+/// The inert-tau contraction every intermediate product goes through.
+lts::Lts tau_compressed(const lts::Lts& l) {
+  return explore::explore(*explore::tau_compress(explore::lts_oracle(l))).lts;
+}
 
 TEST(Reduction, TauCompressContractsInertChains) {
   lts::Lts l;
@@ -201,7 +219,7 @@ TEST(Reduction, TauCompressContractsInertChains) {
   l.add_transition(1, "i", 2);
   l.add_transition(2, "i", 3);
   l.add_transition(3, "b", 4);
-  const lts::Lts c = bisim::tau_compress(l);
+  const lts::Lts c = tau_compressed(l);
   EXPECT_EQ(c.num_states(), 3u);  // 0, {1,2,3}, 4
   EXPECT_TRUE(bisim::equivalent(l, c,
                                 bisim::Equivalence::kDivergenceBranching));
@@ -213,7 +231,7 @@ TEST(Reduction, TauCompressKeepsDivergence) {
   l.add_transition(0, "a", 1);
   l.add_transition(1, "i", 2);
   l.add_transition(2, "i", 1);  // inert tau cycle: a livelock
-  const lts::Lts c = bisim::tau_compress(l);
+  const lts::Lts c = tau_compressed(l);
   EXPECT_LT(c.num_states(), l.num_states());
   bool has_tau_self_loop = false;
   for (const lts::Transition& t : c.all_transitions()) {
@@ -246,7 +264,7 @@ TEST(Reduction, CanonicalFormIsIsomorphismInvariant) {
             serialized(bisim::canonical_form(b)));
 }
 
-TEST(Reduction, OracleTauCompressMatchesOfflinePass) {
+TEST(Reduction, OracleTauCompressShrinksHiddenWalk) {
   const auto program = parse_shared(R"(
     process Walk := STEP ; STEP ; STEP ; DONE ; Walk endproc
     process P := hide STEP in Walk endproc
@@ -259,6 +277,61 @@ TEST(Reduction, OracleTauCompressMatchesOfflinePass) {
   EXPECT_TRUE(bisim::equivalent(
       plain.lts, compressed.lts,
       bisim::Equivalence::kDivergenceBranching));
+}
+
+// ------------------------------------------------- golden flat outputs --
+//
+// The kFlat output of every case-study generator is plain monolithic
+// generation, chosen in compose::pipeline_lts alone.  These pins fix its
+// exact .aut bytes on the T1 instances.
+
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+void expect_golden(const lts::Lts& l, std::size_t states,
+                   std::size_t transitions, std::uint64_t aut_hash) {
+  EXPECT_EQ(l.num_states(), states);
+  EXPECT_EQ(l.num_transitions(), transitions);
+  EXPECT_EQ(fnv1a64(lts::to_aut(l)), aut_hash);
+}
+
+TEST(PlanGolden, FlatNocSinglePacket) {
+  expect_golden(noc::single_packet_lts(0, 3, /*hide_links=*/true, {},
+                                       compose::Strategy::kFlat),
+                8, 7, 0xafe9451aa7a3a5b3ull);
+}
+
+TEST(PlanGolden, FlatNocStream) {
+  expect_golden(noc::stream_lts({{0, 3}, {1, 3}}, /*hide_links=*/true, {},
+                                compose::Strategy::kFlat),
+                36, 70, 0x046199d6c6842a7dull);
+}
+
+TEST(PlanGolden, FlatFameMesi3Node) {
+  expect_golden(fame::coherence_system_n_lts(fame::Protocol::kMesi, 3,
+                                             compose::Strategy::kFlat),
+                5402, 21750, 0xb8d8658fec084179ull);
+}
+
+TEST(PlanGolden, FlatFamePingPong) {
+  fame::PingPongConfig config;
+  config.rounds = 2;
+  expect_golden(fame::pingpong_lts(config, compose::Strategy::kFlat), 86, 85,
+                0x501e0f01ce57e78bull);
+}
+
+TEST(PlanGolden, FlatXstreamDrain) {
+  xstream::QueueConfig cfg;
+  cfg.capacity = 2;
+  cfg.max_value = 0;
+  expect_golden(xstream::drain_scenario_lts(cfg, 3, compose::Strategy::kFlat),
+                26, 39, 0x4217d4ccdac7c9e7ull);
 }
 
 // ------------------------------------------------------------- the caches --
@@ -294,15 +367,14 @@ TEST(MinimizeCache, LruEvictsUnderByteBudget) {
 TEST(MinimizeCache, PlanSubtreeKeysSkipRegeneration) {
   const auto p = std::make_shared<const proc::Program>(
       fame::coherence_system_n_program(fame::Protocol::kMsi, 3));
-  const compose::PlanOptions opts;
-  const compose::Plan plan = compose::plan_program(p, "SystemN", opts);
+  const compose::Plan plan = compose::plan_program(p, "SystemN");
   ASSERT_TRUE(plan.planned);
 
   compose::LruMinimizeCache cache;
-  const compose::PlanResult first = compose::evaluate_plan(plan, opts, &cache);
-  const compose::Plan replan = compose::plan_program(p, "SystemN", opts);
+  const compose::PlanResult first = compose::evaluate_plan(plan, {}, &cache);
+  const compose::Plan replan = compose::plan_program(p, "SystemN");
   const compose::PlanResult second =
-      compose::evaluate_plan(replan, opts, &cache);
+      compose::evaluate_plan(replan, {}, &cache);
 
   EXPECT_EQ(serialized(first.lts), serialized(second.lts));
   // The re-plan resolves its root from the subtree tier: no generation, a
