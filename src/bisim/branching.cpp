@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "lts/analysis.hpp"
 
@@ -11,32 +13,13 @@ namespace multival::bisim {
 
 namespace {
 
-using lts::ActionId;
 using lts::ActionTable;
 using lts::Lts;
 using lts::OutEdge;
 using lts::StateId;
 
-using SigElem = std::uint64_t;
-
-// Signature element tags (upper bits) keep the element kinds disjoint.
-constexpr SigElem kEdgeTag = 1ull << 63;
-constexpr SigElem kDivergentMark = (1ull << 62);
-
-SigElem edge_elem(ActionId a, BlockId b) {
-  return kEdgeTag | (static_cast<SigElem>(a) << 32) | b;
-}
-
-struct SigHash {
-  std::size_t operator()(const std::vector<SigElem>& v) const noexcept {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const SigElem e : v) {
-      h ^= e;
-      h *= 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
+// Marks a component on a tau cycle (divergence-sensitive signatures only).
+constexpr SigElem kDivergentMark = 1ull << 62;
 
 void sort_unique(std::vector<SigElem>& v) {
   std::sort(v.begin(), v.end());
@@ -44,12 +27,43 @@ void sort_unique(std::vector<SigElem>& v) {
 }
 
 // The contracted graph: tau-SCCs (restricted to tau edges joining states of
-// the same initial block) are collapsed to single nodes.
+// the same initial block) are collapsed to single nodes.  Component edges
+// are one CSR array: the edges of component c are
+// out[out_begin[c] .. out_begin[c+1]).
 struct Contracted {
-  std::vector<StateId> comp_of;          // state -> component
+  std::vector<StateId> comp_of;        // state -> component
   std::size_t num_components = 0;
-  std::vector<std::vector<OutEdge>> out;  // component -> edges (action, comp)
-  std::vector<bool> divergent;            // component had an intra tau cycle
+  std::vector<std::size_t> out_begin;  // component -> first edge
+  std::vector<OutEdge> out;            // (action, component)
+  std::vector<bool> divergent;         // component had an intra tau cycle
+
+  [[nodiscard]] std::span<const OutEdge> out_of(StateId comp) const {
+    return {out.data() + out_begin[comp], out.data() + out_begin[comp + 1]};
+  }
+};
+
+/// The current signature of every component: component c's signature is
+/// the length[c] elements at data[c], in one SignatureArena.  Within a round
+/// signatures only grow, and a changed one is stored anew.
+struct SignatureStore {
+  SignatureArena arena;
+  std::vector<const SigElem*> data;
+  std::vector<std::uint32_t> length;
+
+  [[nodiscard]] std::span<const SigElem> of(StateId comp) const {
+    return {data[comp], length[comp]};
+  }
+
+  /// Stores @p sig as @p comp's signature; false if it was already that.
+  bool update(StateId comp, const std::vector<SigElem>& sig) {
+    const std::span<const SigElem> old = of(comp);
+    if (std::equal(sig.begin(), sig.end(), old.begin(), old.end())) {
+      return false;
+    }
+    data[comp] = arena.store(sig);
+    length[comp] = static_cast<std::uint32_t>(sig.size());
+    return true;
+  }
 };
 
 Contracted contract(const Lts& l, const Partition& initial) {
@@ -134,93 +148,102 @@ Contracted contract(const Lts& l, const Partition& initial) {
   Contracted c;
   c.comp_of = std::move(comp_of);
   c.num_components = ncomp;
-  c.out.resize(ncomp);
   c.divergent.assign(ncomp, false);
   std::vector<std::size_t> comp_size(ncomp, 0);
   for (StateId s = 0; s < n; ++s) {
     ++comp_size[c.comp_of[s]];
   }
+  // Intra-component tau edges are collapsed; one witnesses divergence if
+  // the component is a real cycle (size > 1 or self-loop).
+  const auto collapsed = [&](StateId s, const OutEdge& e) {
+    return ActionTable::is_tau(e.action) && c.comp_of[s] == c.comp_of[e.dst];
+  };
+  c.out_begin.assign(ncomp + 1, 0);
+  for (StateId s = 0; s < n; ++s) {
+    for (const OutEdge& e : l.out(s)) {
+      if (!collapsed(s, e)) {
+        ++c.out_begin[c.comp_of[s] + 1];
+      }
+    }
+  }
+  for (std::size_t comp = 0; comp < ncomp; ++comp) {
+    c.out_begin[comp + 1] += c.out_begin[comp];
+  }
+  c.out.resize(c.out_begin[ncomp]);
+  std::vector<std::size_t> fill(c.out_begin.begin(), c.out_begin.end() - 1);
   for (StateId s = 0; s < n; ++s) {
     const StateId cs = c.comp_of[s];
     for (const OutEdge& e : l.out(s)) {
-      const StateId ct = c.comp_of[e.dst];
-      if (ActionTable::is_tau(e.action) && cs == ct) {
-        // Intra-component tau: collapsed; witnesses divergence if the
-        // component is a real cycle (size > 1 or self-loop).
-        if (comp_size[cs] > 1 || e.dst == s) {
-          c.divergent[cs] = true;
-        }
-        continue;
+      if (!collapsed(s, e)) {
+        c.out[fill[cs]++] = OutEdge{e.action, c.comp_of[e.dst]};
+      } else if (comp_size[cs] > 1 || e.dst == s) {
+        c.divergent[cs] = true;
       }
-      c.out[cs].push_back(OutEdge{e.action, ct});
     }
   }
   return c;
 }
 
-}  // namespace
-
-Partition branching_partition(const Lts& l, const Partition& initial,
-                              const BranchingOptions& opts) {
-  const std::size_t n = l.num_states();
-  if (initial.num_states() != n) {
-    throw std::invalid_argument(
-        "branching_partition: partition size mismatch");
-  }
-  if (n == 0) {
-    return Partition(0);
-  }
-  const Contracted c = contract(l, initial);
+/// Signature refinement over the components of @p c, seeded from @p initial.
+Partition refine(const Contracted& c, const Partition& initial,
+                 const BranchingOptions& opts) {
+  const std::size_t n = initial.num_states();
   const std::size_t nc = c.num_components;
 
   // Partition over components, seeded from the initial state partition
-  // (every state of a component shares the initial block by construction).
+  // (every state of a component shares the initial block by construction),
+  // with block ids in order of first occurrence over the states.
   // Divergence is handled in the signatures, where the marker propagates
   // backwards over inert tau — a state that can silently reach a divergence
   // is divergence-equivalent to it.
   std::vector<BlockId> comp_block(nc, 0);
+  std::size_t nblocks = 0;
   {
-    std::unordered_map<std::uint64_t, BlockId> seed;
+    constexpr BlockId kUnseen = static_cast<BlockId>(-1);
+    std::vector<BlockId> seed(initial.num_blocks(), kUnseen);
     for (StateId s = 0; s < n; ++s) {
-      const StateId comp = c.comp_of[s];
-      const std::uint64_t key = initial.block_of(s);
-      const auto [it, inserted] =
-          seed.emplace(key, static_cast<BlockId>(seed.size()));
-      comp_block[comp] = it->second;
+      BlockId& b = seed[initial.block_of(s)];
+      if (b == kUnseen) {
+        b = static_cast<BlockId>(nblocks++);
+      }
+      comp_block[c.comp_of[s]] = b;
     }
   }
-  std::size_t nblocks = 0;
-  for (const BlockId b : comp_block) {
-    nblocks = std::max<std::size_t>(nblocks, b + 1);
-  }
 
-  std::vector<std::vector<SigElem>> sigs(nc);
-
+  // A component's signature is replaced as soon as it is rebuilt, so a pass
+  // reads the signatures of lower components already rebuilt in the same
+  // pass (Gauss–Seidel order).
+  SignatureStore sigs;
+  sigs.data.resize(nc);
+  sigs.length.resize(nc);
+  std::vector<SigElem> sig;  // scratch: one component's new signature
+  SignatureTable table;
+  std::vector<BlockId> next(nc);
   while (true) {
     // Inner fixpoint: propagate signatures across inert tau edges.  The
     // contracted tau relation is (nearly) acyclic and Tarjan numbers
     // components so that tau edges go from higher to lower ids, so one
     // ascending pass usually converges; we iterate to cover residual
     // cross-block cycles.
-    for (StateId comp = 0; comp < nc; ++comp) {
-      sigs[comp].clear();
-    }
+    sigs.arena.clear();
+    std::fill(sigs.data.begin(), sigs.data.end(), nullptr);
+    std::fill(sigs.length.begin(), sigs.length.end(), 0);
     bool changed = true;
     while (changed) {
       changed = false;
       for (StateId comp = 0; comp < nc; ++comp) {
-        std::vector<SigElem> sig;
+        sig.clear();
         sig.push_back(comp_block[comp]);  // old block: monotone refinement
         if (opts.divergence_sensitive && c.divergent[comp]) {
           sig.push_back(kDivergentMark);
         }
-        for (const OutEdge& e : c.out[comp]) {
+        for (const OutEdge& e : c.out_of(comp)) {
           const bool inert = ActionTable::is_tau(e.action) &&
                              comp_block[e.dst] == comp_block[comp];
           if (inert) {
             // Union the successor's current signature minus its old-block
             // element (shared with ours).
-            for (const SigElem x : sigs[e.dst]) {
+            for (const SigElem x : sigs.of(e.dst)) {
               if (x >= kDivergentMark) {
                 sig.push_back(x);
               }
@@ -230,24 +253,18 @@ Partition branching_partition(const Lts& l, const Partition& initial,
           }
         }
         sort_unique(sig);
-        if (sig != sigs[comp]) {
-          sigs[comp] = std::move(sig);
-          changed = true;
-        }
+        changed |= sigs.update(comp, sig);
       }
     }
 
     // Re-block by signature.
-    std::unordered_map<std::vector<SigElem>, BlockId, SigHash> table;
-    std::vector<BlockId> next(nc, 0);
+    table.reset(nc);
     for (StateId comp = 0; comp < nc; ++comp) {
-      const auto [it, inserted] =
-          table.emplace(sigs[comp], static_cast<BlockId>(table.size()));
-      next[comp] = it->second;
+      next[comp] = table.intern(sigs.of(comp));
     }
     const bool stable = table.size() == nblocks;
     nblocks = table.size();
-    comp_block = std::move(next);
+    comp_block.swap(next);
     if (stable) {
       break;
     }
@@ -260,26 +277,44 @@ Partition branching_partition(const Lts& l, const Partition& initial,
   return Partition(std::move(block_of), nblocks);
 }
 
+}  // namespace
+
+Partition branching_partition(const Lts& l, const Partition& initial,
+                              const BranchingOptions& opts) {
+  if (initial.num_states() != l.num_states()) {
+    throw std::invalid_argument(
+        "branching_partition: partition size mismatch");
+  }
+  return refine(contract(l, initial), initial, opts);
+}
+
 Partition branching_partition(const Lts& l, const BranchingOptions& opts) {
   return branching_partition(l, Partition(l.num_states()), opts);
 }
 
 MinimizeResult minimize_branching(const Lts& l, const BranchingOptions& opts) {
-  Partition p = branching_partition(l, opts);
-  Lts q = quotient_lts(l, p, /*skip_inert_tau=*/true);
-  if (opts.divergence_sensitive) {
-    // Re-add a tau self-loop on every divergent block so livelocks survive.
-    const Contracted c = contract(l, Partition(l.num_states()));
-    std::vector<bool> block_divergent(p.num_blocks(), false);
-    for (StateId s = 0; s < l.num_states(); ++s) {
-      if (c.divergent[c.comp_of[s]]) {
-        block_divergent[p.block_of(s)] = true;
+  // The trivial initial partition makes the refinement's contraction the
+  // one that marks divergent blocks; it is dropped before the quotient.
+  Partition p(0);
+  std::vector<bool> block_divergent;
+  {
+    const Partition trivial(l.num_states());
+    const Contracted c = contract(l, trivial);
+    p = refine(c, trivial, opts);
+    if (opts.divergence_sensitive) {
+      block_divergent.assign(p.num_blocks(), false);
+      for (StateId s = 0; s < l.num_states(); ++s) {
+        if (c.divergent[c.comp_of[s]]) {
+          block_divergent[p.block_of(s)] = true;
+        }
       }
     }
-    for (BlockId b = 0; b < block_divergent.size(); ++b) {
-      if (block_divergent[b]) {
-        q.add_transition(b, ActionTable::kTau, b);
-      }
+  }
+  Lts q = quotient_lts(l, p, /*skip_inert_tau=*/true);
+  // Re-add a tau self-loop on every divergent block so livelocks survive.
+  for (BlockId b = 0; b < block_divergent.size(); ++b) {
+    if (block_divergent[b]) {
+      q.add_transition(b, ActionTable::kTau, b);
     }
   }
   return MinimizeResult{std::move(q), std::move(p)};

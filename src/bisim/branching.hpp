@@ -2,6 +2,15 @@
 // with tau-SCC collapse followed by signature refinement in topological
 // order of the inert-tau DAG).
 //
+// Data layout: the contracted graph (one node per tau-SCC) keeps its edges
+// in one CSR array.  Each refinement round iterates passes over the
+// components in ascending id order until no signature changes; a pass
+// writes all signatures into one flat buffer and reads the previous pass's
+// buffer, except for lower components already rebuilt in the same pass
+// (Gauss–Seidel order, which keeps the pass count low).  Signatures are
+// interned in a SignatureTable (partition.hpp), so new block ids come in
+// first-insertion order over the components.
+//
 // The divergence-sensitive variant keeps a "divergent" marker on states
 // lying on a tau cycle, so that livelocks are preserved by minimisation
 // (divergence-preserving branching bisimulation in the sense used by CADP's

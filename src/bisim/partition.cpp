@@ -1,5 +1,8 @@
 #include "bisim/partition.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -98,6 +101,99 @@ Partition Partition::intersect(const Partition& a, const Partition& b) {
     }
   }
   return Partition(std::move(out), pairs.empty() ? 0 : pairs.size());
+}
+
+namespace {
+
+constexpr BlockId kEmptySlot = static_cast<BlockId>(-1);
+
+std::uint64_t hash_signature(std::span<const SigElem> sig) {
+  std::uint64_t h = sig.size();
+  for (const SigElem e : sig) {
+    h = (h ^ e) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+}  // namespace
+
+const SigElem* SignatureArena::store(std::span<const SigElem> sig) {
+  if (sig.size() > kChunk) {
+    large_.push_back(std::make_unique_for_overwrite<SigElem[]>(sig.size()));
+    std::copy(sig.begin(), sig.end(), large_.back().get());
+    return large_.back().get();
+  }
+  if (chunks_.empty() || used_ + sig.size() > kChunk) {
+    if (!chunks_.empty()) {
+      ++chunk_;
+    }
+    if (chunk_ == chunks_.size()) {
+      chunks_.push_back(std::make_unique_for_overwrite<SigElem[]>(kChunk));
+    }
+    used_ = 0;
+  }
+  SigElem* out = chunks_[chunk_].get() + used_;
+  std::copy(sig.begin(), sig.end(), out);
+  used_ += sig.size();
+  return out;
+}
+
+void SignatureArena::clear() {
+  large_.clear();
+  chunk_ = 0;
+  used_ = 0;
+}
+
+void SignatureTable::reset(std::size_t capacity) {
+  arena_.clear();
+  data_.clear();
+  length_.clear();
+  hash_.clear();
+  // Load factor at most 1/2.
+  const std::size_t num_slots = std::bit_ceil(std::max<std::size_t>(
+      16, 2 * capacity));
+  if (slots_.size() == num_slots) {
+    std::fill(slots_.begin(), slots_.end(), kEmptySlot);
+  } else {
+    slots_.assign(num_slots, kEmptySlot);
+  }
+}
+
+void SignatureTable::rehash(std::size_t num_slots) {
+  slots_.assign(num_slots, kEmptySlot);
+  const std::size_t mask = num_slots - 1;
+  for (BlockId id = 0; id < hash_.size(); ++id) {
+    std::size_t i = hash_[id] & mask;
+    while (slots_[i] != kEmptySlot) {
+      i = (i + 1) & mask;
+    }
+    slots_[i] = id;
+  }
+}
+
+BlockId SignatureTable::intern(std::span<const SigElem> sig) {
+  if (2 * (size() + 1) > slots_.size()) {
+    rehash(std::max<std::size_t>(16, 2 * slots_.size()));
+  }
+  const std::uint64_t h = hash_signature(sig);
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = h & mask;
+  while (slots_[i] != kEmptySlot) {
+    const BlockId id = slots_[i];
+    if (hash_[id] == h && length_[id] == sig.size() &&
+        (sig.empty() ||
+         std::memcmp(data_[id], sig.data(), sig.size_bytes()) == 0)) {
+      return id;
+    }
+    i = (i + 1) & mask;
+  }
+  const auto id = static_cast<BlockId>(size());
+  slots_[i] = id;
+  data_.push_back(arena_.store(sig));
+  length_.push_back(static_cast<std::uint32_t>(sig.size()));
+  hash_.push_back(h);
+  return id;
 }
 
 }  // namespace multival::bisim

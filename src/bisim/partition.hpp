@@ -3,10 +3,13 @@
 // A Partition maps every state of an LTS (or IMC) to a block id in
 // 0..num_blocks()-1.  Partition-refinement algorithms start from an initial
 // partition (a single block, or a reward-compatible grouping) and split
-// blocks until signatures stabilise.
+// blocks until signatures stabilise.  SignatureTable is the one place where
+// those signatures are interned into new block ids.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "lts/lts.hpp"
@@ -50,6 +53,66 @@ class Partition {
  private:
   std::vector<BlockId> block_of_;
   std::size_t num_blocks_ = 0;
+};
+
+/// One element of a refinement signature.  An edge (action a, target block
+/// b) is edge_elem(a, b); its tag keeps it apart from a bare old block id
+/// (< 2^32), which sorts first.
+using SigElem = std::uint64_t;
+inline constexpr SigElem kEdgeTag = 1ull << 63;
+
+[[nodiscard]] inline SigElem edge_elem(lts::ActionId a, BlockId b) {
+  return kEdgeTag | (static_cast<SigElem>(a) << 32) | b;
+}
+
+/// Append-only storage for signatures, in fixed-size chunks: a stored
+/// signature never moves, and growing copies nothing (so resident memory
+/// tracks the live signatures, not a doubling vector's past buffers).
+class SignatureArena {
+ public:
+  /// Copies @p sig in; the copy stays valid until clear().
+  const SigElem* store(std::span<const SigElem> sig);
+
+  /// Forgets every stored signature, keeping the chunks for reuse.
+  void clear();
+
+ private:
+  static constexpr std::size_t kChunk = std::size_t{1} << 16;  // elements
+
+  std::vector<std::unique_ptr<SigElem[]>> chunks_;  // kChunk elements each
+  std::vector<std::unique_ptr<SigElem[]>> large_;   // signatures > kChunk
+  std::size_t chunk_ = 0;  // chunk being filled
+  std::size_t used_ = 0;   // elements used in chunks_[chunk_]
+};
+
+/// Interns signatures (sequences of SigElem) as dense block ids, handed out
+/// 0, 1, 2, ... in first-insertion order.
+///
+/// Each distinct signature is stored once in a SignatureArena; per id the
+/// table keeps its address, length and hash.  Lookup is open addressing
+/// (linear probing over a power-of-two slot array of ids) with a cached-hash
+/// check and a memcmp of the stored copy.  reset() forgets every signature
+/// but keeps the buffers, so one table serves every refinement round.
+class SignatureTable {
+ public:
+  /// Forgets every signature and makes room for @p capacity of them without
+  /// rehashing (the table still grows past it).
+  void reset(std::size_t capacity);
+
+  /// The id of @p sig, interning it if new.
+  BlockId intern(std::span<const SigElem> sig);
+
+  /// Number of distinct signatures interned since the last reset().
+  [[nodiscard]] std::size_t size() const { return data_.size(); }
+
+ private:
+  void rehash(std::size_t num_slots);
+
+  SignatureArena arena_;
+  std::vector<const SigElem*> data_;
+  std::vector<std::uint32_t> length_;
+  std::vector<std::uint64_t> hash_;
+  std::vector<BlockId> slots_;  // kEmptySlot or an id
 };
 
 }  // namespace multival::bisim

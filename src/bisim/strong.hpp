@@ -1,5 +1,17 @@
 // Strong bisimulation minimisation by signature-based partition refinement
 // (Kanellakis–Smolka style with hashed signatures).
+//
+// Each round builds every state's signature (old block, then the sorted set
+// of (action, successor block) elements) in one reused scratch buffer and
+// interns it in a SignatureTable (partition.hpp): a flat arena of distinct
+// signatures under an open-addressing index.  New block ids are handed out
+// in first-insertion order over the states, so block numbering depends only
+// on state order.  Refinement stops when a round creates no new block.
+//
+// The quotient is built block by block: a stable counting sort of the
+// states by block, then one (action, target block) dedup set cleared per
+// block.  Labels are interned in the order of their first kept edge in state
+// order, so the quotient is the one a state-major scan would produce.
 #pragma once
 
 #include "bisim/partition.hpp"
