@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "lts/analysis.hpp"
+#include "core/graph.hpp"
 
 namespace multival::bisim {
 
@@ -42,112 +42,26 @@ struct Contracted {
   }
 };
 
-/// The current signature of every component: component c's signature is
-/// the length[c] elements at data[c], in one SignatureArena.  Within a round
-/// signatures only grow, and a changed one is stored anew.
-struct SignatureStore {
-  SignatureArena arena;
-  std::vector<const SigElem*> data;
-  std::vector<std::uint32_t> length;
-
-  [[nodiscard]] std::span<const SigElem> of(StateId comp) const {
-    return {data[comp], length[comp]};
-  }
-
-  /// Stores @p sig as @p comp's signature; false if it was already that.
-  bool update(StateId comp, const std::vector<SigElem>& sig) {
-    const std::span<const SigElem> old = of(comp);
-    if (std::equal(sig.begin(), sig.end(), old.begin(), old.end())) {
-      return false;
-    }
-    data[comp] = arena.store(sig);
-    length[comp] = static_cast<std::uint32_t>(sig.size());
-    return true;
-  }
-};
-
 Contracted contract(const Lts& l, const Partition& initial) {
-  // Tau edges within the same initial block are candidates for collapse.
-  const auto inertish = [&](const OutEdge& e, StateId src) {
-    return ActionTable::is_tau(e.action) &&
-           initial.block_of(src) == initial.block_of(e.dst);
-  };
-  // strongly_connected_components takes an edge filter without the source,
-  // so we filter on block equality via a wrapper LTS scan instead: build the
-  // SCCs manually over the filtered relation.
-  // Reuse lts::strongly_connected_components by encoding the filter: it only
-  // sees the edge, so we need the source.  Do a local Tarjan instead.
   const std::size_t n = l.num_states();
-  std::vector<StateId> comp_of(n, lts::kNoState);
-  std::size_t ncomp = 0;
-  {
-    constexpr StateId kUnvisited = lts::kNoState;
-    std::vector<StateId> index(n, kUnvisited);
-    std::vector<StateId> lowlink(n, 0);
-    std::vector<bool> on_stack(n, false);
-    std::vector<StateId> scc_stack;
-    struct Frame {
-      StateId state;
-      std::size_t edge;
-    };
-    std::vector<Frame> call;
-    StateId next_index = 0;
-    for (StateId root = 0; root < n; ++root) {
-      if (index[root] != kUnvisited) {
-        continue;
-      }
-      call.push_back(Frame{root, 0});
-      index[root] = lowlink[root] = next_index++;
-      scc_stack.push_back(root);
-      on_stack[root] = true;
-      while (!call.empty()) {
-        Frame& fr = call.back();
-        const StateId v = fr.state;
-        const auto edges = l.out(v);
-        bool descended = false;
-        while (fr.edge < edges.size()) {
-          const OutEdge& e = edges[fr.edge++];
-          if (!inertish(e, v)) {
-            continue;
-          }
-          const StateId w = e.dst;
-          if (index[w] == kUnvisited) {
-            index[w] = lowlink[w] = next_index++;
-            scc_stack.push_back(w);
-            on_stack[w] = true;
-            call.push_back(Frame{w, 0});
-            descended = true;
-            break;
-          }
-          if (on_stack[w]) {
-            lowlink[v] = std::min(lowlink[v], index[w]);
-          }
-        }
-        if (descended) {
-          continue;
-        }
-        if (lowlink[v] == index[v]) {
-          StateId w = lts::kNoState;
-          do {
-            w = scc_stack.back();
-            scc_stack.pop_back();
-            on_stack[w] = false;
-            comp_of[w] = static_cast<StateId>(ncomp);
-          } while (w != v);
-          ++ncomp;
-        }
-        call.pop_back();
-        if (!call.empty()) {
-          lowlink[call.back().state] =
-              std::min(lowlink[call.back().state], lowlink[v]);
-        }
-      }
-    }
-  }
-
   Contracted c;
-  c.comp_of = std::move(comp_of);
-  c.num_components = ncomp;
+  // Tau edges within one initial block are the candidates for collapse.
+  // The filtered graph is a temporary, freed before the component CSR is
+  // built.
+  core::Components scc = core::strongly_connected_components(
+      core::Digraph::build(n, [&](auto&& emit) {
+        for (StateId s = 0; s < n; ++s) {
+          for (const OutEdge& e : l.out(s)) {
+            if (ActionTable::is_tau(e.action) &&
+                initial.block_of(s) == initial.block_of(e.dst)) {
+              emit(s, e.dst);
+            }
+          }
+        }
+      }));
+  c.comp_of = std::move(scc.component_of);
+  c.num_components = scc.num_components;
+  const std::size_t ncomp = c.num_components;
   c.divergent.assign(ncomp, false);
   std::vector<std::size_t> comp_size(ncomp, 0);
   for (StateId s = 0; s < n; ++s) {
@@ -210,57 +124,42 @@ Partition refine(const Contracted& c, const Partition& initial,
     }
   }
 
-  // A component's signature is replaced as soon as it is rebuilt, so a pass
-  // reads the signatures of lower components already rebuilt in the same
-  // pass (Gauss–Seidel order).
-  SignatureStore sigs;
-  sigs.data.resize(nc);
-  sigs.length.resize(nc);
+  // One ascending pass per round computes every signature exactly.  An
+  // inert edge is a tau edge within one block, hence within one initial
+  // block, and joins two different components (tau edges inside a
+  // component were collapsed), so it is an edge of the graph whose SCCs
+  // contract() took.  The kernel numbers components in reverse topological
+  // order, so the edge leads to a strictly lower id, whose signature is
+  // already final in this pass.  A component's signature is read back from
+  // the table by its new block id.
   std::vector<SigElem> sig;  // scratch: one component's new signature
   SignatureTable table;
   std::vector<BlockId> next(nc);
   while (true) {
-    // Inner fixpoint: propagate signatures across inert tau edges.  The
-    // contracted tau relation is (nearly) acyclic and Tarjan numbers
-    // components so that tau edges go from higher to lower ids, so one
-    // ascending pass usually converges; we iterate to cover residual
-    // cross-block cycles.
-    sigs.arena.clear();
-    std::fill(sigs.data.begin(), sigs.data.end(), nullptr);
-    std::fill(sigs.length.begin(), sigs.length.end(), 0);
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (StateId comp = 0; comp < nc; ++comp) {
-        sig.clear();
-        sig.push_back(comp_block[comp]);  // old block: monotone refinement
-        if (opts.divergence_sensitive && c.divergent[comp]) {
-          sig.push_back(kDivergentMark);
-        }
-        for (const OutEdge& e : c.out_of(comp)) {
-          const bool inert = ActionTable::is_tau(e.action) &&
-                             comp_block[e.dst] == comp_block[comp];
-          if (inert) {
-            // Union the successor's current signature minus its old-block
-            // element (shared with ours).
-            for (const SigElem x : sigs.of(e.dst)) {
-              if (x >= kDivergentMark) {
-                sig.push_back(x);
-              }
-            }
-          } else {
-            sig.push_back(edge_elem(e.action, comp_block[e.dst]));
-          }
-        }
-        sort_unique(sig);
-        changed |= sigs.update(comp, sig);
-      }
-    }
-
-    // Re-block by signature.
     table.reset(nc);
     for (StateId comp = 0; comp < nc; ++comp) {
-      next[comp] = table.intern(sigs.of(comp));
+      sig.clear();
+      sig.push_back(comp_block[comp]);  // old block: monotone refinement
+      if (opts.divergence_sensitive && c.divergent[comp]) {
+        sig.push_back(kDivergentMark);
+      }
+      for (const OutEdge& e : c.out_of(comp)) {
+        const bool inert = ActionTable::is_tau(e.action) &&
+                           comp_block[e.dst] == comp_block[comp];
+        if (inert) {
+          // Union the successor's signature minus its old-block element
+          // (shared with ours).
+          for (const SigElem x : table.signature(next[e.dst])) {
+            if (x >= kDivergentMark) {
+              sig.push_back(x);
+            }
+          }
+        } else {
+          sig.push_back(edge_elem(e.action, comp_block[e.dst]));
+        }
+      }
+      sort_unique(sig);
+      next[comp] = table.intern(sig);
     }
     const bool stable = table.size() == nblocks;
     nblocks = table.size();

@@ -2,13 +2,14 @@
 // with tau-SCC collapse followed by signature refinement in topological
 // order of the inert-tau DAG).
 //
-// Data layout: the contracted graph (one node per tau-SCC) keeps its edges
-// in one CSR array.  Each refinement round iterates passes over the
-// components in ascending id order until no signature changes; a pass
-// writes all signatures into one flat buffer and reads the previous pass's
-// buffer, except for lower components already rebuilt in the same pass
-// (Gauss–Seidel order, which keeps the pass count low).  Signatures are
-// interned in a SignatureTable (partition.hpp), so new block ids come in
+// Data layout: the tau-SCCs come from the graph kernel (core/graph.hpp),
+// and the contracted graph (one node per tau-SCC) keeps its edges in one
+// CSR array.  The kernel numbers components in reverse topological order,
+// so every inert tau edge leads to a lower component, and one pass per
+// round over the components in ascending id order suffices: a component's
+// signature only reads the signatures of lower components, already final
+// in that pass.  Each signature is interned in a SignatureTable
+// (partition.hpp) as soon as it is built, so new block ids come in
 // first-insertion order over the components.
 //
 // The divergence-sensitive variant keeps a "divergent" marker on states

@@ -105,6 +105,11 @@ class SignatureTable {
   /// Number of distinct signatures interned since the last reset().
   [[nodiscard]] std::size_t size() const { return data_.size(); }
 
+  /// The signature interned as @p id.
+  [[nodiscard]] std::span<const SigElem> signature(BlockId id) const {
+    return {data_[id], length_[id]};
+  }
+
  private:
   void rehash(std::size_t num_slots);
 

@@ -2,6 +2,8 @@
 
 #include "imc/compose.hpp"
 
+#include "core/graph.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -101,82 +103,24 @@ Graph identity_graph(const Imc& m) {
 Graph contracted_graph(const Imc& m, const Partition& initial) {
   const auto labels = label_ids(m);
   const std::size_t n = m.num_states();
-  // Tarjan over tau edges within the same initial block.
-  constexpr StateId kUnvisited = lts::kNoState;
-  std::vector<StateId> comp(n, kUnvisited);
-  std::vector<StateId> index(n, kUnvisited);
-  std::vector<StateId> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<StateId> scc_stack;
-  struct Frame {
-    StateId v;
-    std::size_t edge;
-  };
-  std::vector<Frame> call;
-  StateId next_index = 0;
-  std::size_t ncomp = 0;
-
-  const auto inert_candidate = [&](StateId src, const InterEdge& e) {
-    return ActionTable::is_tau(e.action) &&
-           initial.block_of(src) == initial.block_of(e.dst);
-  };
-
-  for (StateId root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) {
-      continue;
-    }
-    call.push_back(Frame{root, 0});
-    index[root] = lowlink[root] = next_index++;
-    scc_stack.push_back(root);
-    on_stack[root] = true;
-    while (!call.empty()) {
-      Frame& fr = call.back();
-      const StateId v = fr.v;
-      const auto edges = m.interactive(v);
-      bool descended = false;
-      while (fr.edge < edges.size()) {
-        const InterEdge& e = edges[fr.edge++];
-        if (!inert_candidate(v, e)) {
-          continue;
+  // Contract the SCCs of the tau edges within one initial block.
+  core::Components scc = core::strongly_connected_components(
+      core::Digraph::build(n, [&](auto&& emit) {
+        for (StateId s = 0; s < n; ++s) {
+          for (const InterEdge& e : m.interactive(s)) {
+            if (ActionTable::is_tau(e.action) &&
+                initial.block_of(s) == initial.block_of(e.dst)) {
+              emit(s, e.dst);
+            }
+          }
         }
-        const StateId w = e.dst;
-        if (index[w] == kUnvisited) {
-          index[w] = lowlink[w] = next_index++;
-          scc_stack.push_back(w);
-          on_stack[w] = true;
-          call.push_back(Frame{w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
-      }
-      if (descended) {
-        continue;
-      }
-      if (lowlink[v] == index[v]) {
-        StateId w = kUnvisited;
-        do {
-          w = scc_stack.back();
-          scc_stack.pop_back();
-          on_stack[w] = false;
-          comp[w] = static_cast<StateId>(ncomp);
-        } while (w != v);
-        ++ncomp;
-      }
-      call.pop_back();
-      if (!call.empty()) {
-        lowlink[call.back().v] = std::min(lowlink[call.back().v], lowlink[v]);
-      }
-    }
-  }
+      }));
 
   Graph g;
-  g.node_of = std::move(comp);
-  g.num_nodes = ncomp;
-  g.inter.resize(ncomp);
-  g.mark.resize(ncomp);
+  g.node_of = std::move(scc.component_of);
+  g.num_nodes = scc.num_components;
+  g.inter.resize(g.num_nodes);
+  g.mark.resize(g.num_nodes);
   for (StateId s = 0; s < n; ++s) {
     const StateId cs = g.node_of[s];
     for (const InterEdge& e : m.interactive(s)) {
@@ -214,75 +158,61 @@ Partition refine(const Imc& m, const Graph& g, const Partition& initial,
     nblocks = std::max<std::size_t>(nblocks, b + 1);
   }
 
+  // With closure, one ascending pass per round computes every signature
+  // exactly: an inert edge is a tau edge within one initial block between
+  // two different nodes, i.e. an edge of the graph whose SCCs
+  // contracted_graph() took, and the kernel numbers components in reverse
+  // topological order, so it leads to a lower node, already rebuilt in this
+  // pass.
   std::vector<std::vector<SigElem>> sigs(nn);
 
   while (true) {
-    for (auto& s : sigs) {
-      s.clear();
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (StateId node = 0; node < nn; ++node) {
-        std::vector<SigElem> sig;
-        sig.emplace_back(node_block[node], 0);  // monotone refinement
-        // Aggregate own Markovian rates per (target block, label).
-        {
-          std::vector<std::pair<std::uint64_t, double>> per_key;
-          for (const MarkRef& e : g.mark[node]) {
-            per_key.emplace_back(
-                (static_cast<std::uint64_t>(e.label) << 32) |
-                    node_block[e.dst],
-                e.rate);
-          }
-          std::sort(per_key.begin(), per_key.end());
-          for (std::size_t i = 0; i < per_key.size();) {
-            double total = 0.0;
-            std::size_t j = i;
-            while (j < per_key.size() &&
-                   per_key[j].first == per_key[i].first) {
-              total += per_key[j].second;
-              ++j;
-            }
-            sig.emplace_back(kMarkTag | per_key[i].first,
-                             quantize_rate(total));
-            i = j;
-          }
-        }
-        for (const InterEdge& e : g.inter[node]) {
-          const bool inert = closure && ActionTable::is_tau(e.action) &&
-                             node_block[e.dst] == node_block[node];
-          if (inert) {
-            for (const SigElem& x : sigs[e.dst]) {
-              if (x.first & (kInterTag | kMarkTag)) {
-                sig.push_back(x);
-              }
-            }
-          } else {
-            sig.emplace_back(
-                kInterTag | (static_cast<std::uint64_t>(e.action) << 32) |
-                    node_block[e.dst],
-                0);
-          }
-        }
-        std::sort(sig.begin(), sig.end());
-        sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
-        if (sig != sigs[node]) {
-          sigs[node] = std::move(sig);
-          changed = true;
-        }
-      }
-      if (!closure) {
-        break;  // no propagation needed: one pass computes exact signatures
-      }
-    }
-
     std::unordered_map<std::vector<SigElem>, BlockId, SigHash> table;
     std::vector<BlockId> next(nn, 0);
     for (StateId node = 0; node < nn; ++node) {
-      const auto [it, inserted] =
-          table.emplace(sigs[node], static_cast<BlockId>(table.size()));
-      next[node] = it->second;
+      std::vector<SigElem> sig;
+      sig.emplace_back(node_block[node], 0);  // monotone refinement
+      // Aggregate own Markovian rates per (target block, label).
+      {
+        std::vector<std::pair<std::uint64_t, double>> per_key;
+        for (const MarkRef& e : g.mark[node]) {
+          per_key.emplace_back(
+              (static_cast<std::uint64_t>(e.label) << 32) | node_block[e.dst],
+              e.rate);
+        }
+        std::sort(per_key.begin(), per_key.end());
+        for (std::size_t i = 0; i < per_key.size();) {
+          double total = 0.0;
+          std::size_t j = i;
+          while (j < per_key.size() && per_key[j].first == per_key[i].first) {
+            total += per_key[j].second;
+            ++j;
+          }
+          sig.emplace_back(kMarkTag | per_key[i].first, quantize_rate(total));
+          i = j;
+        }
+      }
+      for (const InterEdge& e : g.inter[node]) {
+        const bool inert = closure && ActionTable::is_tau(e.action) &&
+                           node_block[e.dst] == node_block[node];
+        if (inert) {
+          for (const SigElem& x : sigs[e.dst]) {
+            if (x.first & (kInterTag | kMarkTag)) {
+              sig.push_back(x);
+            }
+          }
+        } else {
+          sig.emplace_back(
+              kInterTag | (static_cast<std::uint64_t>(e.action) << 32) |
+                  node_block[e.dst],
+              0);
+        }
+      }
+      std::sort(sig.begin(), sig.end());
+      sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
+      next[node] =
+          table.emplace(sig, static_cast<BlockId>(table.size())).first->second;
+      sigs[node] = std::move(sig);
     }
     const bool stable = table.size() == nblocks;
     nblocks = table.size();

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/graph.hpp"
 #include "core/report.hpp"
 
 namespace multival::imc {
@@ -41,30 +42,14 @@ void for_each_successor(const Imc& m, StateId s, F&& f) {
 std::vector<bool> backward_closure(const Imc& m, std::vector<bool> seed,
                                    const std::vector<bool>* cut_sources) {
   const std::size_t n = m.num_states();
-  std::vector<std::vector<std::uint32_t>> pred(n);
-  for (StateId s = 0; s < n; ++s) {
-    if (cut_sources != nullptr && (*cut_sources)[s]) {
-      continue;
-    }
-    for_each_successor(m, s, [&](StateId d) { pred[d].push_back(s); });
-  }
-  std::vector<std::uint32_t> stack;
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (seed[s]) {
-      stack.push_back(s);
-    }
-  }
-  while (!stack.empty()) {
-    const std::uint32_t s = stack.back();
-    stack.pop_back();
-    for (const std::uint32_t p : pred[s]) {
-      if (!seed[p]) {
-        seed[p] = true;
-        stack.push_back(p);
+  const core::Digraph pred = core::Digraph::build(n, [&](auto&& emit) {
+    for (StateId s = 0; s < n; ++s) {
+      if (cut_sources == nullptr || !(*cut_sources)[s]) {
+        for_each_successor(m, s, [&](StateId d) { emit(d, s); });
       }
     }
-  }
-  return seed;
+  });
+  return core::closure(pred, std::move(seed));
 }
 
 /// Prob1E: states where SOME scheduler reaches @p target almost surely
@@ -155,72 +140,6 @@ std::vector<bool> positive_min_reach(const Imc& m,
   return f;
 }
 
-/// Iterative Tarjan over an adjacency list (states with empty adjacency
-/// become singleton components).
-std::pair<std::vector<std::uint32_t>, std::size_t> tarjan(
-    const std::vector<std::vector<std::uint32_t>>& adj) {
-  const std::size_t n = adj.size();
-  std::vector<std::uint32_t> comp(n, kNone);
-  std::vector<std::uint32_t> index(n, kNone);
-  std::vector<std::uint32_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::uint32_t> scc_stack;
-  struct Frame {
-    std::uint32_t v;
-    std::size_t edge;
-  };
-  std::vector<Frame> call;
-  std::uint32_t next_index = 0;
-  std::size_t ncomp = 0;
-
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (index[root] != kNone) {
-      continue;
-    }
-    call.push_back(Frame{root, 0});
-    index[root] = lowlink[root] = next_index++;
-    scc_stack.push_back(root);
-    on_stack[root] = true;
-    while (!call.empty()) {
-      Frame& fr = call.back();
-      const std::uint32_t v = fr.v;
-      bool descended = false;
-      while (fr.edge < adj[v].size()) {
-        const std::uint32_t w = adj[v][fr.edge++];
-        if (index[w] == kNone) {
-          index[w] = lowlink[w] = next_index++;
-          scc_stack.push_back(w);
-          on_stack[w] = true;
-          call.push_back(Frame{w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
-      }
-      if (descended) {
-        continue;
-      }
-      if (lowlink[v] == index[v]) {
-        std::uint32_t w = kNone;
-        do {
-          w = scc_stack.back();
-          scc_stack.pop_back();
-          on_stack[w] = false;
-          comp[w] = static_cast<std::uint32_t>(ncomp);
-        } while (w != v);
-        ++ncomp;
-      }
-      call.pop_back();
-      if (!call.empty()) {
-        lowlink[call.back().v] = std::min(lowlink[call.back().v], lowlink[v]);
-      }
-    }
-  }
-  return {std::move(comp), ncomp};
-}
-
 /// A maximal end component of the sub-MDP restricted to @p region, plus
 /// the destinations of the interactive edges that leave it (the only way
 /// out: a Markovian state whose race leaves the component cannot be a
@@ -234,7 +153,7 @@ std::vector<Mec> max_end_components(const Imc& m,
                                     const std::vector<bool>& region) {
   const std::size_t n = m.num_states();
   std::vector<bool> alive = region;
-  std::vector<std::uint32_t> comp(n, kNone);
+  core::Components scc;
   for (;;) {
     bool changed = false;
     // A Markovian state's single action must stay inside entirely; a dead
@@ -262,18 +181,19 @@ std::vector<Mec> max_end_components(const Imc& m,
         changed = true;
       }
     }
-    std::vector<std::vector<std::uint32_t>> adj(n);
-    for (StateId s = 0; s < n; ++s) {
-      if (!alive[s]) {
-        continue;
-      }
-      for_each_successor(m, s, [&](StateId d) {
-        if (alive[d]) {
-          adj[s].push_back(d);
-        }
-      });
-    }
-    comp = tarjan(adj).first;
+    scc = core::strongly_connected_components(
+        core::Digraph::build(n, [&](auto&& emit) {
+          for (StateId s = 0; s < n; ++s) {
+            if (alive[s]) {
+              for_each_successor(m, s, [&](StateId d) {
+                if (alive[d]) {
+                  emit(s, d);
+                }
+              });
+            }
+          }
+        }));
+    const std::vector<std::uint32_t>& comp = scc.component_of;
     // Refine: every kept action must stay within its own component.
     for (StateId s = 0; s < n; ++s) {
       if (!alive[s]) {
@@ -301,19 +221,16 @@ std::vector<Mec> max_end_components(const Imc& m,
       break;
     }
   }
+  // MECs are the components of the surviving states, numbered in order of
+  // first occurrence over the states.
+  std::vector<std::uint32_t> mec_of_comp(scc.num_components, kNone);
   std::vector<std::uint32_t> mec_of(n, kNone);
   std::vector<Mec> mecs;
   for (std::uint32_t s = 0; s < n; ++s) {
     if (!alive[s]) {
       continue;
     }
-    std::uint32_t id = kNone;
-    for (std::uint32_t t = 0; t < mecs.size(); ++t) {
-      if (comp[mecs[t].members.front()] == comp[s]) {
-        id = t;
-        break;
-      }
-    }
+    std::uint32_t& id = mec_of_comp[scc.component_of[s]];
     if (id == kNone) {
       id = static_cast<std::uint32_t>(mecs.size());
       mecs.push_back(Mec{});
@@ -519,39 +436,38 @@ std::vector<double> solve_time_interval(const Imc& m, bool maximise,
       }
     }
   } else {
-    std::vector<std::vector<std::uint32_t>> tau(n);
-    for (StateId s = 0; s < n; ++s) {
-      if (!active[s] || !is_decision(m, s)) {
-        continue;
-      }
-      for (const InterEdge& e : m.interactive(s)) {
-        if (e.dst < n && active[e.dst] && is_decision(m, e.dst)) {
-          tau[s].push_back(e.dst);
-        }
-      }
-    }
-    const auto [comp, ncomp] = tarjan(tau);
-    std::vector<std::vector<std::uint32_t>> members(ncomp);
-    for (std::uint32_t s = 0; s < n; ++s) {
-      if (active[s] && is_decision(m, s)) {
-        members[comp[s]].push_back(s);
-      }
-    }
-    std::vector<bool> emitted(ncomp, false);
+    const auto decision = [&](StateId s) {
+      return active[s] && is_decision(m, s);
+    };
+    const core::Components scc = core::strongly_connected_components(
+        core::Digraph::build(n, [&](auto&& emit) {
+          for (StateId s = 0; s < n; ++s) {
+            if (decision(s)) {
+              for (const InterEdge& e : m.interactive(s)) {
+                if (decision(e.dst)) {
+                  emit(s, e.dst);
+                }
+              }
+            }
+          }
+        }));
+    // One unit per component, in order of first occurrence over the states.
+    std::vector<std::uint32_t> unit_of_comp(scc.num_components, kNone);
     for (std::uint32_t s = 0; s < n; ++s) {
       if (!active[s]) {
         continue;
       }
       if (!is_decision(m, s)) {
         units.push_back(Unit{{s}});
-      } else if (!emitted[comp[s]]) {
-        emitted[comp[s]] = true;
-        const std::uint32_t id = static_cast<std::uint32_t>(units.size());
-        units.push_back(Unit{members[comp[s]]});
-        for (const std::uint32_t t : members[comp[s]]) {
-          unit_of[t] = id;
-        }
+        continue;
       }
+      std::uint32_t& id = unit_of_comp[scc.component_of[s]];
+      if (id == kNone) {
+        id = static_cast<std::uint32_t>(units.size());
+        units.push_back(Unit{});
+      }
+      units[id].states.push_back(s);
+      unit_of[s] = id;
     }
   }
 

@@ -1,7 +1,6 @@
 #include "lts/analysis.hpp"
 
-#include <algorithm>
-#include <stdexcept>
+#include "core/graph.hpp"
 
 namespace multival::lts {
 
@@ -65,95 +64,20 @@ std::vector<StateId> deadlock_states(const Lts& l) {
   return out;
 }
 
-namespace {
-
-// Iterative Tarjan SCC.
-struct TarjanFrame {
-  StateId state;
-  std::size_t edge_index;
-};
-
-}  // namespace
-
-SccResult strongly_connected_components(
-    const Lts& l, const std::function<bool(const OutEdge&)>& edge_filter) {
-  const std::size_t n = l.num_states();
-  constexpr StateId kUnvisited = kNoState;
-  SccResult result;
-  result.component_of.assign(n, kUnvisited);
-
-  std::vector<StateId> index(n, kUnvisited);
-  std::vector<StateId> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<StateId> scc_stack;
-  std::vector<TarjanFrame> call_stack;
-  StateId next_index = 0;
-
-  for (StateId root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) {
-      continue;
-    }
-    call_stack.push_back(TarjanFrame{root, 0});
-    index[root] = lowlink[root] = next_index++;
-    scc_stack.push_back(root);
-    on_stack[root] = true;
-
-    while (!call_stack.empty()) {
-      TarjanFrame& fr = call_stack.back();
-      const StateId v = fr.state;
-      const auto edges = l.out(v);
-      bool descended = false;
-      while (fr.edge_index < edges.size()) {
-        const OutEdge& e = edges[fr.edge_index++];
-        if (!edge_filter(e)) {
-          continue;
-        }
-        const StateId w = e.dst;
-        if (index[w] == kUnvisited) {
-          index[w] = lowlink[w] = next_index++;
-          scc_stack.push_back(w);
-          on_stack[w] = true;
-          call_stack.push_back(TarjanFrame{w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
-      }
-      if (descended) {
-        continue;
-      }
-      if (lowlink[v] == index[v]) {
-        const auto comp = static_cast<StateId>(result.num_components++);
-        StateId w = kNoState;
-        do {
-          w = scc_stack.back();
-          scc_stack.pop_back();
-          on_stack[w] = false;
-          result.component_of[w] = comp;
-        } while (w != v);
-      }
-      call_stack.pop_back();
-      if (!call_stack.empty()) {
-        const StateId parent = call_stack.back().state;
-        lowlink[parent] = std::min(lowlink[parent], lowlink[v]);
-      }
-    }
-  }
-  return result;
-}
-
-SccResult strongly_connected_components(const Lts& l) {
-  return strongly_connected_components(l,
-                                       [](const OutEdge&) { return true; });
-}
-
 std::vector<StateId> divergent_states(const Lts& l) {
   const auto is_tau_edge = [](const OutEdge& e) {
     return ActionTable::is_tau(e.action);
   };
-  const SccResult scc = strongly_connected_components(l, is_tau_edge);
+  const core::Components scc = core::strongly_connected_components(
+      core::Digraph::build(l.num_states(), [&](auto&& emit) {
+        for (StateId s = 0; s < l.num_states(); ++s) {
+          for (const OutEdge& e : l.out(s)) {
+            if (is_tau_edge(e)) {
+              emit(s, e.dst);
+            }
+          }
+        }
+      }));
   // A state is on a tau cycle iff its tau-SCC has more than one member, or it
   // has a tau self-loop.
   std::vector<std::size_t> comp_size(scc.num_components, 0);

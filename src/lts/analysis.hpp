@@ -1,9 +1,8 @@
 // Basic graph analyses over LTSs: reachability trimming, deadlock and
-// livelock (tau-cycle) detection, strongly connected components.
+// livelock (tau-cycle) detection.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "lts/lts.hpp"
@@ -27,22 +26,6 @@ struct TrimResult {
 /// All deadlock states (no outgoing transition) reachable from the initial
 /// state.
 [[nodiscard]] std::vector<StateId> deadlock_states(const Lts& l);
-
-/// Strongly connected components of the subgraph whose edges satisfy
-/// @p edge_filter.  Returns the component id of each state; component ids are
-/// in reverse topological order (a component only reaches components with
-/// smaller or equal... strictly: Tarjan assigns ids such that every edge goes
-/// from a higher id to a lower-or-equal id).
-struct SccResult {
-  std::vector<StateId> component_of;  // state -> component id
-  std::size_t num_components = 0;
-};
-
-[[nodiscard]] SccResult strongly_connected_components(
-    const Lts& l, const std::function<bool(const OutEdge&)>& edge_filter);
-
-/// SCCs over all transitions.
-[[nodiscard]] SccResult strongly_connected_components(const Lts& l);
 
 /// True if some reachable state lies on a cycle of invisible ("i")
 /// transitions — a potential livelock / divergence.

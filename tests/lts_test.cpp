@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/graph.hpp"
 #include "lts/action_table.hpp"
 #include "lts/analysis.hpp"
 #include "lts/lts.hpp"
@@ -173,6 +174,18 @@ TEST(Analysis, DeadlockStates) {
   EXPECT_EQ(d[0], 2u);
 }
 
+/// SCCs of @p l over all transitions, through the graph kernel.
+multival::core::Components lts_components(const Lts& l) {
+  return multival::core::strongly_connected_components(
+      multival::core::Digraph::build(l.num_states(), [&](auto&& emit) {
+        for (StateId s = 0; s < l.num_states(); ++s) {
+          for (const OutEdge& e : l.out(s)) {
+            emit(s, e.dst);
+          }
+        }
+      }));
+}
+
 TEST(Analysis, SccOnCycle) {
   Lts l;
   l.add_states(4);
@@ -180,7 +193,7 @@ TEST(Analysis, SccOnCycle) {
   l.add_transition(1, "A", 2);
   l.add_transition(2, "A", 0);
   l.add_transition(2, "A", 3);
-  const SccResult r = strongly_connected_components(l);
+  const multival::core::Components r = lts_components(l);
   EXPECT_EQ(r.num_components, 2u);
   EXPECT_EQ(r.component_of[0], r.component_of[1]);
   EXPECT_EQ(r.component_of[1], r.component_of[2]);
@@ -192,7 +205,7 @@ TEST(Analysis, SccSingletons) {
   l.add_states(3);
   l.add_transition(0, "A", 1);
   l.add_transition(1, "A", 2);
-  const SccResult r = strongly_connected_components(l);
+  const multival::core::Components r = lts_components(l);
   EXPECT_EQ(r.num_components, 3u);
 }
 
