@@ -532,23 +532,18 @@ PlanResult evaluate_plan(const Plan& plan, const PlanOptions& opts,
   // a peer (e.g. a credit counter whose ceiling is the other operand).  The
   // composed system may still be small: retry monolithically, where the
   // constraint applies during generation.
-  const auto monolithic_retry = [&](const char* what) {
-    if (!plan.planned || plan.program == nullptr || plan.term == nullptr) {
-      throw;  // NOLINT: rethrows the active exception
-    }
-    result.stats.steps.push_back(
-        {std::string("monolithic fallback (") + what + ")", 0, 0, 0.0});
-    return run(fallback_plan(
-        plan.program, plan.term,
-        std::string("component exceeded the state cap: ") + what));
-  };
   lts::Lts minimal;
   try {
     minimal = run(plan);
-  } catch (const proc::StateSpaceLimit& e) {
-    minimal = monolithic_retry(e.what());
   } catch (const explore::LimitExceeded& e) {
-    minimal = monolithic_retry(e.what());
+    if (!plan.planned || plan.program == nullptr || plan.term == nullptr) {
+      throw;
+    }
+    result.stats.steps.push_back(
+        {std::string("monolithic fallback (") + e.what() + ")", 0, 0, 0.0});
+    minimal = run(fallback_plan(
+        plan.program, plan.term,
+        std::string("component exceeded the state cap: ") + e.what()));
   }
   // The root is a minimisation point, so `minimal` is minimal modulo
   // divergence-preserving branching bisimulation; the canonical form is

@@ -1,8 +1,9 @@
 #include "explore/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "core/parallel.hpp"
@@ -11,113 +12,248 @@ namespace multival::explore {
 
 namespace {
 
-/// The out-edges of one expanded state, labels interned per worker.
+struct Edge {
+  LabelId label = kTau;  // in the expanding worker's label space
+  lts::StateId dst = 0;
+};
+
+/// The out-edges of one expanded state: edges[begin, begin + count) of the
+/// worker that expanded it.
 struct Row {
   lts::StateId src = 0;
-  std::uint32_t ctx = 0;  // owning worker (resolves local label ids)
-  std::vector<std::pair<std::uint32_t, lts::StateId>> edges;
+  std::uint32_t count = 0;
+  std::size_t begin = 0;
 };
 
-struct WorkerCtx {
-  OraclePtr oracle;
-  std::uint32_t index = 0;
-  std::vector<std::string> labels;  // local label id -> text
-  std::unordered_map<std::string, std::uint32_t> label_ids;
-  std::vector<Row> rows;
-  std::vector<std::pair<lts::StateId, std::string>> next;  // fresh states
-  WorkerStats stats;
-  std::vector<Step> steps;  // scratch
+/// States awaiting expansion, flat: ids and their words.
+class Queue {
+ public:
+  explicit Queue(std::size_t width) : width_(width) {}
 
-  std::uint32_t label_id(const std::string& label) {
-    const auto it = label_ids.find(label);
-    if (it != label_ids.end()) {
-      return it->second;
-    }
-    const auto id = static_cast<std::uint32_t>(labels.size());
-    labels.push_back(label);
-    label_ids.emplace(label, id);
-    return id;
+  [[nodiscard]] std::size_t size() const { return ids_.size(); }
+  [[nodiscard]] bool empty() const { return ids_.empty(); }
+  [[nodiscard]] lts::StateId id(std::size_t i) const { return ids_[i]; }
+  [[nodiscard]] StateView state(std::size_t i) const {
+    return {words_.data() + i * width_, width_};
   }
 
-  void expand(lts::StateId id, const std::string& bytes, StateStore& store,
-              std::size_t max_states) {
+  void push(lts::StateId id, StateView state) {
+    ids_.push_back(id);
+    words_.insert(words_.end(), state.begin(), state.end());
+  }
+  void append(const Queue& other) {
+    ids_.insert(ids_.end(), other.ids_.begin(), other.ids_.end());
+    words_.insert(words_.end(), other.words_.begin(), other.words_.end());
+  }
+  void pop_back() {
+    ids_.pop_back();
+    words_.resize(words_.size() - width_);
+  }
+  void clear() {
+    ids_.clear();
+    words_.clear();
+  }
+
+ private:
+  std::size_t width_;
+  std::vector<lts::StateId> ids_;
+  std::vector<Word> words_;
+};
+
+/// Cache-line aligned: workers update their own members on every
+/// expansion, side by side in one vector.
+struct alignas(64) Worker {
+  Worker(OraclePtr o, std::size_t width)
+      : oracle(std::move(o)), steps(width), next(width) {}
+
+  OraclePtr oracle;
+  Steps steps;  // scratch
+  std::vector<Row> rows;
+  std::vector<Edge> edges;
+  Queue next;  // states this worker discovered
+  WorkerStats stats;
+
+  /// Expands state @p id; returns its number of successors.
+  std::size_t expand(lts::StateId id, StateView state, StateStore& store) {
     steps.clear();
-    oracle->successors(bytes, steps);
-    Row row;
-    row.src = id;
-    row.ctx = index;
-    row.edges.reserve(steps.size());
-    for (Step& s : steps) {
-      const StateStore::Inserted r = store.insert(s.dst);
+    oracle->successors(state, steps);
+    rows.push_back(Row{id, static_cast<std::uint32_t>(steps.size()),
+                       edges.size()});
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      const StateStore::Inserted r = store.insert(steps.dst(i));
       if (r.fresh) {
-        next.emplace_back(r.id, std::move(s.dst));
+        next.push(r.id, steps.dst(i));
       }
-      row.edges.emplace_back(label_id(s.label), r.id);
+      edges.push_back(Edge{steps.label(i), r.id});
     }
     ++stats.states_expanded;
-    stats.transitions += row.edges.size();
-    rows.push_back(std::move(row));
-    if (store.size() > max_states) {
-      throw LimitExceeded("explore: state space exceeds " +
-                          std::to_string(max_states) + " states");
-    }
+    stats.transitions += steps.size();
+    return steps.size();
   }
 };
 
-using Frontier = std::vector<std::pair<lts::StateId, std::string>>;
+/// The search behind explore and find_deadlock.
+class Search {
+ public:
+  Search(const SuccessorOracle& oracle, const ExploreOptions& options,
+         unsigned workers)
+      : options_(options),
+        width_(prepare(oracle, workers)),
+        store_(width_, StateStore::Options{options.store,
+                                           options.fingerprint_bits, 64}) {}
 
-void expand_level(std::vector<WorkerCtx>& ctxs, const Frontier& frontier,
-                  StateStore& store, std::size_t max_states) {
-  // Contiguous chunks per worker (small frontiers collapse to one worker);
-  // worker w owns ctxs[w], so label interning stays lock-free.
-  core::parallel_chunks(frontier.size(), ctxs.size(), /*min_grain=*/4,
-                        [&](unsigned w, std::size_t lo, std::size_t hi) {
-                          for (std::size_t i = lo; i < hi; ++i) {
-                            ctxs[w].expand(frontier[i].first,
-                                           frontier[i].second, store,
-                                           max_states);
-                          }
-                        });
-}
-
-/// Deterministic BFS renumbering from the initial state (id 0: the very
-/// first insert) and emission into a fresh Lts.  The traversal only looks
-/// at the explored graph, so the result is independent of how the ids were
-/// interleaved across workers.
-lts::Lts renumber_and_emit(const std::vector<WorkerCtx>& ctxs,
-                           std::size_t num_states) {
-  std::vector<const Row*> row_of(num_states, nullptr);
-  for (const WorkerCtx& ctx : ctxs) {
-    for (const Row& row : ctx.rows) {
-      row_of[row.src] = &row;
+  /// Expands every reachable state or, if @p stop_at_deadlock (sequential
+  /// BFS only), stops after the first state without successors and returns
+  /// it.
+  std::optional<lts::StateId> run(ExploreStats& stats, bool stop_at_deadlock) {
+    Queue frontier(width_);
+    std::vector<Word> init(width_);
+    workers_[0].oracle->initial(init);
+    frontier.push(store_.insert(init).id, init);
+    if (options_.order == Order::kDfs) {
+      // frontier doubles as the DFS stack.
+      Worker& w = workers_[0];
+      std::vector<Word> cur(width_);
+      while (!frontier.empty()) {
+        stats.peak_frontier = std::max(stats.peak_frontier, frontier.size());
+        ++stats.levels;
+        const lts::StateId id = frontier.id(frontier.size() - 1);
+        const StateView top = frontier.state(frontier.size() - 1);
+        std::copy(top.begin(), top.end(), cur.begin());
+        frontier.pop_back();
+        w.expand(id, cur, store_);
+        check_cap();
+        frontier.append(w.next);
+        w.next.clear();
+      }
+      return std::nullopt;
     }
-  }
-  std::vector<lts::StateId> renum(num_states, lts::kNoState);
-  std::vector<lts::StateId> order;
-  order.reserve(num_states);
-  renum[0] = 0;
-  order.push_back(0);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    for (const auto& [label, dst] : row_of[order[i]]->edges) {
-      if (renum[dst] == lts::kNoState) {
-        renum[dst] = static_cast<lts::StateId>(order.size());
-        order.push_back(dst);
+    std::optional<lts::StateId> deadlock;
+    std::atomic<bool> abort{false};
+    while (!frontier.empty() && !deadlock) {
+      stats.peak_frontier = std::max(stats.peak_frontier, frontier.size());
+      ++stats.levels;
+      // Contiguous chunks per worker (small frontiers collapse to one
+      // worker); worker w owns workers_[w], so its oracle clone, rows and
+      // label ids stay thread-private.  A failing worker stops the others.
+      core::parallel_chunks(
+          frontier.size(), static_cast<unsigned>(workers_.size()),
+          /*min_grain=*/4, [&](unsigned w, std::size_t lo, std::size_t hi) {
+            try {
+              for (std::size_t i = lo;
+                   i < hi && !abort.load(std::memory_order_relaxed); ++i) {
+                const std::size_t n =
+                    workers_[w].expand(frontier.id(i), frontier.state(i),
+                                       store_);
+                check_cap();
+                if (stop_at_deadlock && n == 0) {
+                  deadlock = frontier.id(i);
+                  return;
+                }
+              }
+            } catch (...) {
+              abort.store(true, std::memory_order_relaxed);
+              throw;
+            }
+          });
+      frontier.clear();
+      for (Worker& w : workers_) {
+        frontier.append(w.next);
+        w.next.clear();
       }
     }
+    return deadlock;
   }
-  lts::Lts out;
-  out.add_states(order.size());
-  out.set_initial_state(0);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const Row& row = *row_of[order[i]];
-    for (const auto& [label, dst] : row.edges) {
-      out.add_transition(static_cast<lts::StateId>(i),
-                         std::string_view(ctxs[row.ctx].labels[label]),
-                         renum[dst]);
+
+  /// Deterministic BFS renumbering from the initial state (id 0: the very
+  /// first insert) and emission into a fresh Lts.  The traversal only looks
+  /// at the explored graph, so the result is independent of how the ids
+  /// were interleaved across workers.  Each worker's label ids are
+  /// interned as actions once, in order of first emission.
+  [[nodiscard]] lts::Lts emit() const {
+    struct RowRef {
+      std::uint32_t worker = 0;
+      std::uint32_t row = 0;
+    };
+    const std::size_t num_states = store_.size();
+    std::vector<RowRef> row_of(num_states);
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      const std::vector<Row>& rows = workers_[w].rows;
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        row_of[rows[r].src] = RowRef{static_cast<std::uint32_t>(w),
+                                     static_cast<std::uint32_t>(r)};
+      }
+    }
+    const auto edges_of = [&](lts::StateId s) {
+      const Worker& w = workers_[row_of[s].worker];
+      const Row& row = w.rows[row_of[s].row];
+      return std::span<const Edge>(w.edges.data() + row.begin, row.count);
+    };
+    std::vector<lts::StateId> renum(num_states, lts::kNoState);
+    std::vector<lts::StateId> order;
+    order.reserve(num_states);
+    renum[0] = 0;
+    order.push_back(0);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      for (const Edge& e : edges_of(order[i])) {
+        if (renum[e.dst] == lts::kNoState) {
+          renum[e.dst] = static_cast<lts::StateId>(order.size());
+          order.push_back(e.dst);
+        }
+      }
+    }
+    constexpr lts::ActionId kNoAction = static_cast<lts::ActionId>(-1);
+    std::vector<std::vector<lts::ActionId>> action_of(workers_.size());
+    lts::Lts out;
+    out.add_states(order.size());
+    out.set_initial_state(0);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const std::uint32_t w = row_of[order[i]].worker;
+      std::vector<lts::ActionId>& actions = action_of[w];
+      for (const Edge& e : edges_of(order[i])) {
+        if (e.label >= actions.size()) {
+          actions.resize(e.label + 1, kNoAction);
+        }
+        if (actions[e.label] == kNoAction) {
+          actions[e.label] =
+              out.actions().intern(workers_[w].oracle->label(e.label));
+        }
+        out.add_transition(static_cast<lts::StateId>(i), actions[e.label],
+                           renum[e.dst]);
+      }
+    }
+    return out;
+  }
+
+  [[nodiscard]] const StateStore& store() const { return store_; }
+  [[nodiscard]] const std::vector<Worker>& workers() const {
+    return workers_;
+  }
+
+ private:
+  /// Clones the oracle once per worker; returns the common state width.
+  std::size_t prepare(const SuccessorOracle& oracle, unsigned workers) {
+    std::size_t width = 0;
+    for (unsigned w = 0; w < workers; ++w) {
+      OraclePtr clone = oracle.clone();
+      width = clone->width();
+      workers_.emplace_back(std::move(clone), width);
+    }
+    return width;
+  }
+
+  void check_cap() const {
+    if (store_.size() > options_.max_states) {
+      throw LimitExceeded("explore: state space exceeds " +
+                          std::to_string(options_.max_states) + " states");
     }
   }
-  return out;
-}
+
+  ExploreOptions options_;
+  std::vector<Worker> workers_;
+  std::size_t width_;
+  StateStore store_;
+};
 
 }  // namespace
 
@@ -128,53 +264,13 @@ ExploreResult explore(const SuccessorOracle& oracle,
   if (options.order == Order::kDfs) {
     workers = 1;  // DFS is inherently sequential (one stack)
   }
-
-  StateStore store(StateStore::Options{options.store, options.fingerprint_bits,
-                                       /*stripes=*/64});
-  std::vector<WorkerCtx> ctxs(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    ctxs[w].oracle = oracle.clone();
-    ctxs[w].index = w;
-  }
-
   ExploreResult result;
   ExploreStats& stats = result.stats;
   const auto t0 = std::chrono::steady_clock::now();
 
-  std::string init = ctxs[0].oracle->initial();
-  const StateStore::Inserted r0 = store.insert(init);
-  Frontier frontier;
-  frontier.emplace_back(r0.id, std::move(init));
-
-  if (options.order == Order::kDfs) {
-    // frontier doubles as the DFS stack.
-    while (!frontier.empty()) {
-      stats.peak_frontier = std::max(stats.peak_frontier, frontier.size());
-      ++stats.levels;
-      auto [id, bytes] = std::move(frontier.back());
-      frontier.pop_back();
-      ctxs[0].expand(id, bytes, store, options.max_states);
-      for (auto& fresh : ctxs[0].next) {
-        frontier.push_back(std::move(fresh));
-      }
-      ctxs[0].next.clear();
-    }
-  } else {
-    while (!frontier.empty()) {
-      stats.peak_frontier = std::max(stats.peak_frontier, frontier.size());
-      ++stats.levels;
-      expand_level(ctxs, frontier, store, options.max_states);
-      frontier.clear();
-      for (WorkerCtx& ctx : ctxs) {
-        for (auto& fresh : ctx.next) {
-          frontier.push_back(std::move(fresh));
-        }
-        ctx.next.clear();
-      }
-    }
-  }
-
-  result.lts = renumber_and_emit(ctxs, store.size());
+  Search search(oracle, options, workers);
+  (void)search.run(stats, /*stop_at_deadlock=*/false);
+  result.lts = search.emit();
 
   const auto t1 = std::chrono::steady_clock::now();
   stats.seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -183,12 +279,46 @@ ExploreResult explore(const SuccessorOracle& oracle,
   stats.states_per_sec =
       stats.seconds > 0.0 ? static_cast<double>(stats.num_states) / stats.seconds
                           : 0.0;
-  stats.dedup_hits = store.dedup_hits();
-  stats.collisions = store.collisions();
+  stats.dedup_hits = search.store().dedup_hits();
+  stats.collisions = search.store().collisions();
   stats.workers.reserve(workers);
-  for (const WorkerCtx& ctx : ctxs) {
-    stats.workers.push_back(ctx.stats);
+  for (const Worker& w : search.workers()) {
+    stats.workers.push_back(w.stats);
   }
+  return result;
+}
+
+DeadlockSearch find_deadlock(const SuccessorOracle& oracle,
+                             const ExploreOptions& options) {
+  ExploreOptions sequential = options;
+  sequential.workers = 1;
+  sequential.order = Order::kBfs;
+  Search search(oracle, sequential, 1);
+  ExploreStats stats;
+  const std::optional<lts::StateId> dead = search.run(stats, true);
+  const Worker& w = search.workers()[0];
+  DeadlockSearch result;
+  result.states_explored = w.rows.size();
+  if (!dead) {
+    return result;
+  }
+  result.found = true;
+  // One worker discovers states in expansion order, so a state's BFS
+  // parent is the first expanded row with an edge to it.
+  std::vector<std::pair<lts::StateId, LabelId>> parent(
+      search.store().size(), {lts::kNoState, kTau});
+  for (const Row& row : w.rows) {
+    for (std::size_t e = row.begin; e < row.begin + row.count; ++e) {
+      const Edge& edge = w.edges[e];
+      if (edge.dst != 0 && parent[edge.dst].first == lts::kNoState) {
+        parent[edge.dst] = {row.src, edge.label};
+      }
+    }
+  }
+  for (lts::StateId s = *dead; s != 0; s = parent[s].first) {
+    result.trace.emplace_back(w.oracle->label(parent[s].second));
+  }
+  std::reverse(result.trace.begin(), result.trace.end());
   return result;
 }
 

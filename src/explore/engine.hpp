@@ -2,16 +2,22 @@
 //
 // Level-synchronous parallel BFS: the frontier of each depth level is
 // split over N worker threads, each driving its own clone of the
-// SuccessorOracle; discovered states are deduplicated through one shared
-// lock-striped StateStore.  Every state is expanded by exactly one worker
-// (the one whose insert created its id), so the explored graph is
-// identical regardless of thread count or scheduling — and a final
-// deterministic breadth-first renumbering makes the *emitted* LTS
-// byte-for-byte reproducible across 1..N workers.
+// SuccessorOracle; discovered states — fixed-width word vectors — are
+// deduplicated through one shared lock-striped StateStore.  Every state is
+// expanded by exactly one worker (the one whose insert created its id), so
+// the explored graph is identical regardless of thread count or
+// scheduling — and a final deterministic breadth-first renumbering makes
+// the *emitted* LTS byte-for-byte reproducible across 1..N workers.  Rows
+// of expanded states are kept flat per worker (no per-state allocation),
+// and each worker's label ids are resolved to lts::ActionIds once per
+// label, at emission.
 //
 // A sequential depth-first order is also available (Order::kDfs); it
 // yields the same LTS (renumbering normalises the order away) but trades
 // peak frontier size for depth, which matters for deep narrow models.
+// find_deadlock runs the same search sequentially and stops at the first
+// state without successors.  The state cap (ExploreOptions::max_states) is
+// enforced here and nowhere else.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +47,8 @@ struct ExploreOptions {
   std::size_t max_states = 1u << 22;
 };
 
-/// Thrown when the state space exceeds ExploreOptions::max_states.
+/// Thrown when the state space exceeds ExploreOptions::max_states (also
+/// spelled proc::StateSpaceLimit).
 struct LimitExceeded : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -76,5 +83,17 @@ struct ExploreResult {
 /// only cloned, never driven.
 [[nodiscard]] ExploreResult explore(const SuccessorOracle& oracle,
                                     const ExploreOptions& options = {});
+
+struct DeadlockSearch {
+  bool found = false;
+  std::vector<std::string> trace;  ///< labels from the initial state
+  std::size_t states_explored = 0;
+};
+
+/// Breadth-first search of @p oracle that stops at the first state without
+/// successors; the trace is shortest (by transition count).  Sequential:
+/// options.workers and options.order are ignored.
+[[nodiscard]] DeadlockSearch find_deadlock(const SuccessorOracle& oracle,
+                                           const ExploreOptions& options = {});
 
 }  // namespace multival::explore

@@ -1,46 +1,13 @@
-// Process-calculus adapter: wraps proc::TermExplorer, one per clone.  All
-// clones share the same immutable Program object and root term, which is
-// what makes their canonical state encodings agree (TermExplorer encodes
-// leaf terms by their address in the shared term tree).
+// The lint-gated entry points to the process-calculus oracle
+// (proc::oracle, whose clones share one leaf table).
 #include <stdexcept>
 #include <utility>
 
 #include "analyze/analyze.hpp"
 #include "explore/oracle.hpp"
+#include "proc/generator.hpp"
 
 namespace multival::explore {
-
-namespace {
-
-class ProcOracle final : public SuccessorOracle {
- public:
-  ProcOracle(std::shared_ptr<const proc::Program> program, proc::TermPtr root,
-             const proc::GenerateOptions& options)
-      : program_(std::move(program)),
-        root_(std::move(root)),
-        options_(options),
-        explorer_(*program_, root_, options_) {}
-
-  std::string initial() override { return explorer_.initial(); }
-
-  void successors(std::string_view state, std::vector<Step>& out) override {
-    for (proc::TermExplorer::Move& m : explorer_.successors(state)) {
-      out.push_back(Step{std::move(m.label), std::move(m.dst)});
-    }
-  }
-
-  OraclePtr clone() const override {
-    return std::make_unique<ProcOracle>(program_, root_, options_);
-  }
-
- private:
-  std::shared_ptr<const proc::Program> program_;
-  proc::TermPtr root_;
-  proc::GenerateOptions options_;
-  proc::TermExplorer explorer_;
-};
-
-}  // namespace
 
 OraclePtr term_oracle(std::shared_ptr<const proc::Program> program,
                       proc::TermPtr root,
@@ -53,8 +20,7 @@ OraclePtr term_oracle(std::shared_ptr<const proc::Program> program,
   // committing to a potentially exponential exploration.  Throws
   // analyze::ModelError carrying the structured diagnostics.
   analyze::require_well_formed(*program, root);
-  return std::make_unique<ProcOracle>(std::move(program), std::move(root),
-                                      options);
+  return proc::oracle(std::move(program), std::move(root), options);
 }
 
 OraclePtr proc_oracle(std::shared_ptr<const proc::Program> program,

@@ -1,25 +1,11 @@
 #include "explore/state_store.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace multival::explore {
 
 namespace {
-
-// FNV-1a with two different offset bases: the primary drives the
-// fingerprint, the secondary the collision-check hash.  They must be
-// independent functions of the bytes — deriving the check from the primary
-// would make collisions of a full-width fingerprint undetectable.
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::string_view bytes, std::uint64_t basis) {
-  std::uint64_t h = basis;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -28,13 +14,33 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// Word-at-a-time multiply-xorshift hash.  The fingerprint and the
+// collision-check hash use two different seeds: they must be independent
+// functions of the words — deriving the check from the primary would make
+// collisions of a full-width fingerprint undetectable.
+std::uint64_t hash_words(StateView state, std::uint64_t seed) {
+  std::uint64_t h = seed;
+  for (const Word w : state) {
+    h = (h ^ w) * 0x9fb21c651e98df25ull;
+    h ^= h >> 28;
+  }
+  return splitmix64(h);
+}
+
+constexpr std::uint64_t kPrimarySeed = 14695981039346656037ull;
+constexpr std::uint64_t kCheckSeed = 0x2545f4914f6cdd1dull;
+
 bool is_power_of_two(unsigned v) { return v != 0 && (v & (v - 1)) == 0; }
 
 }  // namespace
 
-StateStore::StateStore() : StateStore(Options{}) {}
+StateStore::StateStore(std::size_t width) : StateStore(width, Options{}) {}
 
-StateStore::StateStore(const Options& options) : options_(options) {
+StateStore::StateStore(std::size_t width, const Options& options)
+    : width_(width), options_(options) {
+  if (width_ == 0) {
+    throw std::invalid_argument("StateStore: width must be at least 1");
+  }
   if (!is_power_of_two(options_.stripes)) {
     throw std::invalid_argument("StateStore: stripes must be a power of two");
   }
@@ -50,42 +56,84 @@ StateStore::StateStore(const Options& options) : options_(options) {
   }
 }
 
-StateStore::Inserted StateStore::insert(std::string_view state) {
-  const std::uint64_t primary = fnv1a(state, 14695981039346656037ull);
-
-  if (options_.mode == StoreMode::kExact) {
-    Stripe& stripe =
-        *stripes_[splitmix64(primary) & (stripes_.size() - 1)];
-    core::MutexLock lock(stripe.mu);
-    const auto it = stripe.exact.find(std::string(state));
-    if (it != stripe.exact.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return Inserted{it->second, false};
+void StateStore::grow(Stripe& stripe) {
+  std::vector<Slot> old(std::max<std::size_t>(64, 2 * stripe.slots.size()));
+  old.swap(stripe.slots);
+  const std::size_t mask = stripe.slots.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.id == lts::kNoState) {
+      continue;
     }
-    const lts::StateId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    stripe.exact.emplace(std::string(state), id);
-    return Inserted{id, true};
+    std::size_t i = splitmix64(slot.key) & mask;
+    while (stripe.slots[i].id != lts::kNoState) {
+      i = (i + 1) & mask;
+    }
+    stripe.slots[i] = slot;
   }
+}
 
-  const std::uint64_t key = primary & mask_;
-  const auto check = static_cast<std::uint32_t>(
-      fnv1a(state, 0xcbf29ce484222325ull ^ 0x9e3779b97f4a7c15ull) >> 32);
-  // Stripe selection must depend on the (masked) key only, so that two
-  // states sharing a fingerprint always land in the same shard.
-  Stripe& stripe = *stripes_[splitmix64(key) & (stripes_.size() - 1)];
+StateStore::Inserted StateStore::insert(StateView state) {
+  const bool exact = options_.mode == StoreMode::kExact;
+  // Stripe and probe start depend on the (masked) key only, so that two
+  // states sharing a fingerprint always meet in the same slot chain.
+  const std::uint64_t key = hash_words(state, kPrimarySeed) & mask_;
+  const std::uint32_t check =
+      exact ? 0 : static_cast<std::uint32_t>(hash_words(state, kCheckSeed));
+  const std::uint64_t mix = splitmix64(key);
+  Stripe& stripe = *stripes_[(mix >> 40) & (stripes_.size() - 1)];
+
   core::MutexLock lock(stripe.mu);
-  const auto it = stripe.compact.find(key);
-  if (it != stripe.compact.end()) {
-    if (it->second.first != check) {
-      collisions_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return Inserted{it->second.second, false};
+  if (2 * (stripe.used + 1) > stripe.slots.size()) {
+    grow(stripe);
   }
-  const lts::StateId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  stripe.compact.emplace(key, std::make_pair(check, id));
-  return Inserted{id, true};
+  const std::size_t mask = stripe.slots.size() - 1;
+  for (std::size_t i = mix & mask;; i = (i + 1) & mask) {
+    Slot& slot = stripe.slots[i];
+    if (slot.id == lts::kNoState) {
+      slot.key = key;
+      slot.id = next_id_.fetch_add(1, std::memory_order_relaxed);
+      if (exact) {
+        slot.aux = static_cast<std::uint32_t>(stripe.arena.size() / width_);
+        stripe.arena.insert(stripe.arena.end(), state.begin(), state.end());
+      } else {
+        slot.aux = check;
+      }
+      ++stripe.used;
+      return Inserted{slot.id, true};
+    }
+    if (slot.key != key) {
+      continue;
+    }
+    if (exact) {
+      const Word* stored = stripe.arena.data() + slot.aux * width_;
+      if (!std::equal(state.begin(), state.end(), stored)) {
+        continue;
+      }
+    } else if (slot.aux != check) {
+      ++stripe.collisions;
+      return Inserted{slot.id, false};
+    }
+    ++stripe.hits;
+    return Inserted{slot.id, false};
+  }
+}
+
+std::uint64_t StateStore::dedup_hits() const {
+  std::uint64_t n = 0;
+  for (const auto& stripe : stripes_) {
+    core::MutexLock lock(stripe->mu);
+    n += stripe->hits;
+  }
+  return n;
+}
+
+std::uint64_t StateStore::collisions() const {
+  std::uint64_t n = 0;
+  for (const auto& stripe : stripes_) {
+    core::MutexLock lock(stripe->mu);
+    n += stripe->collisions;
+  }
+  return n;
 }
 
 }  // namespace multival::explore

@@ -1,11 +1,13 @@
 // Concurrent hash-compacted state store for the exploration engine.
 //
-// Maps canonical state encodings to dense ids, allocated in first-insert
-// order.  Lock-striped: the key space is split over independent
-// mutex-protected shards, so worker threads rarely contend.  Two memory
-// modes:
+// Maps fixed-width state vectors (width() 32-bit words each) to dense ids,
+// allocated in first-insert order.  Lock-striped: the key space is split
+// over independent mutex-protected shards, so worker threads rarely
+// contend.  Each shard is an open-addressing index (linear probing, load at
+// most 1/2) over a flat word arena: a stored state costs its words plus one
+// slot, never a per-state allocation.  Two memory modes:
 //
-//   kExact        — stores the full state bytes; no false dedup ever.
+//   kExact        — stores the full state words; no false dedup ever.
 //   kFingerprint  — stores only a fingerprint of the state (Holzmann-style
 //                   hash compaction).  Two distinct states may collide on
 //                   the fingerprint, in which case the second is treated as
@@ -21,15 +23,18 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <string_view>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "core/sync.hpp"
 #include "lts/lts.hpp"
 
 namespace multival::explore {
+
+/// One word of a state vector.
+using Word = std::uint32_t;
+/// A state: a fixed number of words, fixed per oracle (see oracle.hpp).
+using StateView = std::span<const Word>;
 
 enum class StoreMode {
   kExact,
@@ -49,12 +54,16 @@ class StateStore {
     bool fresh = false;  ///< true iff this call created the id
   };
 
-  StateStore();  // exact mode, 64 stripes
-  explicit StateStore(const Options& options);
+  /// A store of states of @p width words (at least 1); exact mode, 64
+  /// stripes unless @p options say otherwise.
+  explicit StateStore(std::size_t width);
+  StateStore(std::size_t width, const Options& options);
 
-  /// Returns the id of @p state, allocating the next dense id if unseen.
-  /// Thread-safe.
-  Inserted insert(std::string_view state);
+  /// Returns the id of @p state (width() words), allocating the next dense
+  /// id if unseen.  Thread-safe.
+  Inserted insert(StateView state);
+
+  [[nodiscard]] std::size_t width() const { return width_; }
 
   /// Number of distinct ids allocated.
   [[nodiscard]] std::size_t size() const {
@@ -62,33 +71,43 @@ class StateStore {
   }
 
   /// Inserts that found an existing entry (states seen more than once).
-  [[nodiscard]] std::uint64_t dedup_hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t dedup_hits() const;
 
   /// Detected fingerprint collisions (distinct states merged); 0 in exact
   /// mode.
-  [[nodiscard]] std::uint64_t collisions() const {
-    return collisions_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t collisions() const;
 
   [[nodiscard]] StoreMode mode() const { return options_.mode; }
 
  private:
-  struct Stripe {
-    core::Mutex mu;
-    std::unordered_map<std::string, lts::StateId> exact MV_GUARDED_BY(mu);
-    // fingerprint -> (check hash, id)
-    std::unordered_map<std::uint64_t, std::pair<std::uint32_t, lts::StateId>>
-        compact MV_GUARDED_BY(mu);
+  /// Exact mode: `key` is the full hash and `aux` the state's index in the
+  /// shard's arena.  Fingerprint mode: `key` is the fingerprint and `aux`
+  /// the check hash.
+  struct Slot {
+    std::uint64_t key = 0;
+    lts::StateId id = lts::kNoState;  ///< kNoState marks an empty slot
+    std::uint32_t aux = 0;
   };
 
+  /// Counters live with their stripe, under its lock: a shared atomic
+  /// bumped on every insert would be contended by every worker.
+  struct alignas(64) Stripe {
+    mutable core::Mutex mu;
+    std::vector<Slot> slots MV_GUARDED_BY(mu);
+    std::vector<Word> arena MV_GUARDED_BY(mu);  ///< exact mode: the states
+    std::size_t used MV_GUARDED_BY(mu) = 0;
+    std::uint64_t hits MV_GUARDED_BY(mu) = 0;
+    std::uint64_t collisions MV_GUARDED_BY(mu) = 0;
+  };
+
+  /// Doubles @p stripe's index (at least 64 slots), rehashing every entry.
+  static void grow(Stripe& stripe) MV_REQUIRES(stripe.mu);
+
+  std::size_t width_;
   Options options_;
   std::uint64_t mask_ = ~0ull;
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::atomic<std::uint32_t> next_id_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> collisions_{0};
 };
 
 }  // namespace multival::explore

@@ -8,12 +8,17 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/sync.hpp"
+
 namespace multival::proc {
 
 namespace {
 
 using lts::Lts;
-using lts::StateId;
+using explore::LabelId;
+using explore::StateView;
+using explore::Steps;
+using explore::Word;
 
 using CfgId = std::uint32_t;
 constexpr CfgId kNoCfg = static_cast<CfgId>(-1);
@@ -44,12 +49,11 @@ std::uint64_t config_hash(const Config& c) {
   return h;
 }
 
-/// A concrete action produced by the SOS rules, interned once per Generator
-/// as a LabelId: tau and exit are fixed, every visible action is its gate
-/// plus values.
-using LabelId = std::uint32_t;
-constexpr LabelId kTauLabel = 0;
-constexpr LabelId kExitLabel = 1;
+/// A concrete action produced by the SOS rules, interned once per leaf
+/// table as a LabelId: tau and exit are fixed (the explore label-space
+/// convention), every visible action is its gate plus values.
+constexpr LabelId kTauLabel = explore::kTau;
+constexpr LabelId kExitLabel = explore::kExit;
 
 struct Label {
   std::string gate;           // visible labels only
@@ -62,265 +66,93 @@ struct Successor {
   CfgId dst = kNoCfg;
 };
 
-// ---- canonical state encoding helpers ---------------------------------------
-
-void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-std::uint64_t get_varint(std::string_view bytes, std::size_t& pos) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (pos >= bytes.size() || shift > 63) {
-      throw std::runtime_error("TermExplorer: malformed state (varint)");
-    }
-    const auto b = static_cast<std::uint8_t>(bytes[pos++]);
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) {
-      return v;
-    }
-    shift += 7;
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint64_t get_u64(std::string_view bytes, std::size_t& pos) {
-  if (pos + 8 > bytes.size()) {
-    throw std::runtime_error("TermExplorer: malformed state (pointer)");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes[pos++]))
-         << (8 * i);
-  }
-  return v;
-}
-
-class Generator {
+/// The SOS rules over hash-consed configurations, with the successor memo
+/// and the label table.  Single-threaded: LeafTable serialises it.
+class Rules {
  public:
-  Generator(const Program& program, const GenerateOptions& options)
+  Rules(const Program& program, const GenerateOptions& options)
       : program_(program), options_(options), stop_term_(stop()) {
     labels_.push_back(Label{{}, {}, "i"});
     labels_.push_back(Label{{}, {}, "exit"});
   }
 
-  Lts run(const TermPtr& root) {
-    root_keepalive_ = root;
-    Lts out;
-    std::vector<lts::ActionId> action_of;  // by LabelId, interned on first use
-    const CfgId init = lift(root.get(), Env{}, 0);
-    const StateId s0 = state_of(init, out);
-    out.set_initial_state(s0);
-    while (!worklist_.empty()) {
-      const CfgId cfg = worklist_.front();
-      worklist_.pop_front();
-      const StateId src = cfg_to_state_[cfg];
-      for (const Successor& suc : transitions(cfg, 0)) {
-        const StateId dst = state_of(suc.dst, out);
-        if (suc.label >= action_of.size()) {
-          action_of.resize(labels_.size(), kNoAction);
-        }
-        lts::ActionId& action = action_of[suc.label];
-        if (action == kNoAction) {
-          action = out.actions().intern(labels_[suc.label].text);
-        }
-        out.add_transition(src, action, dst);
-      }
+  /// The initial configuration of closed term @p root.
+  CfgId lift_root(const Term* root) { return lift(root, Env{}, 0); }
+
+  const Config& cfg(CfgId id) const { return arena_[id]; }
+
+  const Label& label(LabelId id) const { return labels_[id]; }
+
+  /// A memoised successor list: pool_[begin, begin + count), computed
+  /// with an unfolding that reached `span` levels below its start.
+  static constexpr std::uint32_t kNotComputed = static_cast<std::uint32_t>(-1);
+  struct Memo {
+    std::size_t begin = 0;
+    std::uint32_t count = 0;
+    std::uint32_t span = kNotComputed;
+  };
+
+  /// Successors of configuration @p id reached at unfolding depth @p depth.
+  /// Configurations are immutable and hash-consed, so the list is a pure
+  /// function of the id: it is computed once and stored, and only once it
+  /// is complete, so an exception leaves no entry behind.  Reusing an entry
+  /// at @p depth checks depth + span against the bound, which trips it
+  /// exactly where recomputing would.
+  Memo operand_transitions(CfgId id, std::size_t depth) {
+    if (id < memo_.size() && memo_[id].span != kNotComputed) {
+      bump(depth + memo_[id].span);
+      return memo_[id];
     }
-    return out;
-  }
-
-  /// Breadth-first search that stops at the first deadlocked state.
-  DeadlockSearchResult run_find_deadlock(const TermPtr& root) {
-    root_keepalive_ = root;
-    Lts out;  // states only; transitions are not materialised
-    DeadlockSearchResult result;
-    struct Parent {
-      StateId state = lts::kNoState;
-      LabelId label = kTauLabel;
-    };
-    std::vector<Parent> parents;
-
-    const CfgId init = lift(root.get(), Env{}, 0);
-    (void)state_of(init, out);
-    out.set_initial_state(0);
-    parents.emplace_back();
-
-    while (!worklist_.empty()) {
-      const CfgId cfg = worklist_.front();
-      worklist_.pop_front();
-      const StateId src = cfg_to_state_[cfg];
-      const auto succ = transitions(cfg, 0);
-      ++result.states_explored;
-      if (succ.empty()) {
-        result.found = true;
-        // Unwind the parent chain.
-        for (StateId s = src; parents[s].state != lts::kNoState;
-             s = parents[s].state) {
-          result.trace.push_back(labels_[parents[s].label].text);
-        }
-        std::reverse(result.trace.begin(), result.trace.end());
-        return result;
-      }
-      for (const Successor& suc : succ) {
-        const std::size_t before = out.num_states();
-        (void)state_of(suc.dst, out);
-        if (out.num_states() > before) {
-          parents.push_back(Parent{src, suc.label});
-        }
-      }
+    const std::size_t outer_deepest = deepest_;
+    deepest_ = depth;
+    const std::vector<Successor> moves = transitions(id, depth);
+    Memo m{pool_.size(), static_cast<std::uint32_t>(moves.size()),
+           static_cast<std::uint32_t>(deepest_ - depth)};
+    deepest_ = std::max(outer_deepest, deepest_);
+    pool_.insert(pool_.end(), moves.begin(), moves.end());
+    if (id >= memo_.size()) {
+      memo_.resize(arena_.size());
     }
-    return result;
+    memo_[id] = m;
+    return m;
   }
 
-  // ---- TermExplorer support ----------------------------------------------
-
-  CfgId lift_root(const TermPtr& root) {
-    root_keepalive_ = root;
-    return lift(root.get(), Env{}, 0);
+  std::span<const Successor> memo_list(const Memo& m) const {
+    return {pool_.data() + m.begin, m.count};
   }
 
-  std::vector<Successor> successors_of(CfgId id) { return transitions(id, 0); }
-
-  const std::string& label_text(LabelId id) const { return labels_[id].text; }
-
-  /// Canonical byte encoding of a configuration.  Leaf/operator terms are
-  /// identified by their address in the shared term tree (stable across
-  /// Generators over the same Program/root); the ubiquitous "stop" leaf is
-  /// encoded structurally so that every Generator's private stop term
-  /// canonicalises to the same bytes.
-  std::string encode(CfgId id) const {
-    std::string out;
-    encode_cfg(id, out);
-    return out;
-  }
-
-  CfgId decode(std::string_view bytes) {
-    std::size_t pos = 0;
-    const CfgId id = decode_cfg(bytes, pos);
-    if (pos != bytes.size()) {
-      throw std::runtime_error("TermExplorer: malformed state (trailing)");
+  /// True if @p label takes part in a synchronisation on @p gates: exit
+  /// always does, tau never, a visible action when its gate is listed.
+  bool syncs_on(LabelId label, const std::vector<std::string>& gates) const {
+    if (label == kExitLabel) {
+      return true;
     }
-    return id;
+    return label != kTauLabel && std::find(gates.begin(), gates.end(),
+                                           labels_[label].gate) != gates.end();
+  }
+
+  /// @p label after hiding by kHide term @p t.
+  LabelId hidden(LabelId label, const Term& t) const {
+    return label != kExitLabel && syncs_on(label, t.gates()) ? kTauLabel
+                                                             : label;
+  }
+
+  /// @p label after renaming by kRename term @p t.
+  LabelId renamed(LabelId label, const Term& t) {
+    if (label == kTauLabel || label == kExitLabel) {
+      return label;
+    }
+    const auto it = t.gate_map().find(labels_[label].gate);
+    if (it == t.gate_map().end()) {
+      return label;
+    }
+    // Copied: interning may grow labels_ (a deque, so the element stays,
+    // but the copy keeps this independent of that).
+    const std::vector<Value> values = labels_[label].values;
+    return intern_label(it->second, values);
   }
 
  private:
-  enum : char {
-    kTagLeaf = 0,
-    kTagPar = 1,
-    kTagSeq = 2,
-    kTagHide = 3,
-    kTagRename = 4,
-    kTagStop = 5,
-  };
-
-  void encode_env(const Env& env, std::string& out) const {
-    put_varint(out, env.size());
-    for (const auto& [name, value] : env.entries()) {
-      put_varint(out, name.size());
-      out += name;
-      put_varint(out, static_cast<std::uint32_t>(value));
-    }
-  }
-
-  Env decode_env(std::string_view bytes, std::size_t& pos) const {
-    Env env;
-    const std::uint64_t n = get_varint(bytes, pos);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::uint64_t len = get_varint(bytes, pos);
-      if (pos + len > bytes.size()) {
-        throw std::runtime_error("TermExplorer: malformed state (env)");
-      }
-      const std::string name(bytes.substr(pos, len));
-      pos += len;
-      env.bind(name, static_cast<Value>(
-                         static_cast<std::uint32_t>(get_varint(bytes, pos))));
-    }
-    return env;
-  }
-
-  void encode_cfg(CfgId id, std::string& out) const {
-    const Config& c = arena_[id];
-    switch (c.kind) {
-      case Config::Kind::kLeaf:
-        if (c.term->kind() == Term::Kind::kStop) {
-          out.push_back(kTagStop);
-          return;
-        }
-        out.push_back(kTagLeaf);
-        put_u64(out, reinterpret_cast<std::uintptr_t>(c.term));
-        encode_env(c.env, out);
-        return;
-      case Config::Kind::kPar:
-        out.push_back(kTagPar);
-        put_u64(out, reinterpret_cast<std::uintptr_t>(c.term));
-        encode_cfg(c.left, out);
-        encode_cfg(c.right, out);
-        return;
-      case Config::Kind::kSeq:
-        out.push_back(kTagSeq);
-        put_u64(out, reinterpret_cast<std::uintptr_t>(c.term));
-        encode_cfg(c.left, out);
-        encode_env(c.env, out);
-        return;
-      case Config::Kind::kHide:
-      case Config::Kind::kRename:
-        out.push_back(c.kind == Config::Kind::kHide ? kTagHide : kTagRename);
-        put_u64(out, reinterpret_cast<std::uintptr_t>(c.term));
-        encode_cfg(c.left, out);
-        return;
-    }
-    throw std::logic_error("encode_cfg: bad config kind");
-  }
-
-  CfgId decode_cfg(std::string_view bytes, std::size_t& pos) {
-    if (pos >= bytes.size()) {
-      throw std::runtime_error("TermExplorer: malformed state (empty)");
-    }
-    const char tag = bytes[pos++];
-    Config c;
-    switch (tag) {
-      case kTagStop:
-        return stopped();
-      case kTagLeaf:
-        c.kind = Config::Kind::kLeaf;
-        c.term = reinterpret_cast<const Term*>(get_u64(bytes, pos));
-        c.env = decode_env(bytes, pos);
-        break;
-      case kTagPar:
-        c.kind = Config::Kind::kPar;
-        c.term = reinterpret_cast<const Term*>(get_u64(bytes, pos));
-        c.left = decode_cfg(bytes, pos);
-        c.right = decode_cfg(bytes, pos);
-        break;
-      case kTagSeq:
-        c.kind = Config::Kind::kSeq;
-        c.term = reinterpret_cast<const Term*>(get_u64(bytes, pos));
-        c.left = decode_cfg(bytes, pos);
-        c.env = decode_env(bytes, pos);
-        break;
-      case kTagHide:
-      case kTagRename:
-        c.kind = tag == kTagHide ? Config::Kind::kHide : Config::Kind::kRename;
-        c.term = reinterpret_cast<const Term*>(get_u64(bytes, pos));
-        c.left = decode_cfg(bytes, pos);
-        break;
-      default:
-        throw std::runtime_error("TermExplorer: malformed state (tag)");
-    }
-    return intern(std::move(c));
-  }
-
   // ---- configuration interning -------------------------------------------
 
   /// Returns the id of @p c, adding it to the arena if it is new.  The
@@ -362,8 +194,6 @@ class Generator {
     }
   }
 
-  const Config& cfg(CfgId id) const { return arena_[id]; }
-
   CfgId stopped() {
     Config c;
     c.kind = Config::Kind::kLeaf;
@@ -375,9 +205,8 @@ class Generator {
 
   LabelId intern_label(const std::string& gate,
                        const std::vector<Value>& values) {
-    std::string key;  // length-prefixed gate, then the raw values
-    put_varint(key, gate.size());
-    key += gate;
+    std::string key = gate;  // the gate, a NUL, then the raw values
+    key.push_back('\0');
     key.append(reinterpret_cast<const char*>(values.data()),
                values.size() * sizeof(Value));
     const auto [it, inserted] =
@@ -391,16 +220,6 @@ class Generator {
       labels_.push_back(Label{gate, values, std::move(text)});
     }
     return it->second;
-  }
-
-  /// True if @p label takes part in a synchronisation on @p gates: exit
-  /// always does, tau never, a visible action when its gate is listed.
-  bool syncs_on(LabelId label, const std::vector<std::string>& gates) const {
-    if (label == kExitLabel) {
-      return true;
-    }
-    return label != kTauLabel && std::find(gates.begin(), gates.end(),
-                                           labels_[label].gate) != gates.end();
   }
 
   // ---- lifting: term + env -> configuration --------------------------------
@@ -490,39 +309,6 @@ class Generator {
         return rename_transitions(c, depth);
     }
     throw std::logic_error("transitions: bad config kind");
-  }
-
-  /// A memoised successor list: pool_[begin, begin + count), computed
-  /// with an unfolding that reached `span` levels below its start.
-  static constexpr std::uint32_t kNotComputed = static_cast<std::uint32_t>(-1);
-  struct Memo {
-    std::size_t begin = 0;
-    std::uint32_t count = 0;
-    std::uint32_t span = kNotComputed;
-  };
-
-  /// Successors of a parallel operand.  Configurations are immutable and
-  /// hash-consed, so the list is a pure function of the id: it is computed
-  /// once and stored, and only once it is complete, so an exception leaves
-  /// no entry behind.  Reusing an entry at @p depth checks depth + span
-  /// against the bound, which trips it exactly where recomputing would.
-  Memo operand_transitions(CfgId id, std::size_t depth) {
-    if (id < memo_.size() && memo_[id].span != kNotComputed) {
-      bump(depth + memo_[id].span);
-      return memo_[id];
-    }
-    const std::size_t outer_deepest = deepest_;
-    deepest_ = depth;
-    const std::vector<Successor> moves = transitions(id, depth);
-    Memo m{pool_.size(), static_cast<std::uint32_t>(moves.size()),
-           static_cast<std::uint32_t>(deepest_ - depth)};
-    deepest_ = std::max(outer_deepest, deepest_);
-    pool_.insert(pool_.end(), moves.begin(), moves.end());
-    if (id >= memo_.size()) {
-      memo_.resize(arena_.size());
-    }
-    memo_[id] = m;
-    return m;
   }
 
   std::vector<Successor> leaf_transitions(const Config& c, std::size_t depth) {
@@ -649,9 +435,7 @@ class Generator {
       h.kind = Config::Kind::kHide;
       h.term = c.term;
       h.left = m.dst;
-      const bool hidden =
-          m.label != kExitLabel && syncs_on(m.label, c.term->gates());
-      out.push_back({hidden ? kTauLabel : m.label, intern(std::move(h))});
+      out.push_back({hidden(m.label, *c.term), intern(std::move(h))});
     }
     return out;
   }
@@ -660,13 +444,7 @@ class Generator {
                                             std::size_t depth) {
     std::vector<Successor> out;
     for (Successor m : transitions(c.left, depth + 1)) {
-      if (m.label != kTauLabel && m.label != kExitLabel) {
-        const Label& l = labels_[m.label];
-        const auto it = c.term->gate_map().find(l.gate);
-        if (it != c.term->gate_map().end()) {
-          m.label = intern_label(it->second, l.values);
-        }
-      }
+      m.label = renamed(m.label, *c.term);
       Config r;
       r.kind = Config::Kind::kRename;
       r.term = c.term;
@@ -674,25 +452,6 @@ class Generator {
       out.push_back({m.label, intern(std::move(r))});
     }
     return out;
-  }
-
-  // ---- state management --------------------------------------------------
-
-  StateId state_of(CfgId cfg, Lts& out) {
-    if (cfg >= cfg_to_state_.size()) {
-      cfg_to_state_.resize(arena_.size(), lts::kNoState);
-    }
-    if (cfg_to_state_[cfg] != lts::kNoState) {
-      return cfg_to_state_[cfg];
-    }
-    if (out.num_states() >= options_.max_states) {
-      throw StateSpaceLimit("generate: state space exceeds " +
-                            std::to_string(options_.max_states) + " states");
-    }
-    const StateId s = out.add_state();
-    cfg_to_state_[cfg] = s;
-    worklist_.push_back(cfg);
-    return s;
   }
 
   /// Enforces the unfolding bound and records the deepest level reached,
@@ -710,11 +469,8 @@ class Generator {
     CfgId id = kNoCfg;
   };
 
-  static constexpr lts::ActionId kNoAction = static_cast<lts::ActionId>(-1);
-
   const Program& program_;
   GenerateOptions options_;
-  TermPtr root_keepalive_;
   TermPtr stop_term_;  // keeps the private stop leaf alive for interning
   std::deque<Config> arena_;
   std::vector<Slot> slots_;  // open-addressing index over arena_
@@ -723,20 +479,325 @@ class Generator {
   std::vector<Memo> memo_;       // by CfgId, for parallel operands
   std::vector<Successor> pool_;  // memoised successor lists
   std::size_t deepest_ = 0;
-  std::vector<StateId> cfg_to_state_;  // by CfgId; kNoState if unvisited
-  std::deque<CfgId> worklist_;
 };
+
+/// A node of the root configuration's static skeleton.  Nodes are stored
+/// in preorder; a skeleton leaf (kind kLeaf, whatever its configuration's
+/// kind) owns word `first` of every global state, and an inner node the
+/// words [first, first + width) of its leaves.
+struct SkeletonNode {
+  Config::Kind kind = Config::Kind::kLeaf;  // kPar, kHide, kRename or kLeaf
+  const Term* term = nullptr;
+  std::size_t depth = 0;  // unfolding depth at which its rule runs
+  std::uint32_t first = 0;
+  std::uint32_t width = 1;
+  std::uint32_t left = 0;   // par, hide, rename: first operand
+  std::uint32_t right = 0;  // par: second operand
+};
+
+struct Skeleton {
+  std::vector<SkeletonNode> nodes;  // nodes[0] is the root
+  std::vector<Word> initial;        // the initial configuration id per leaf
+};
+
+/// Splits configuration @p id (reached at @p depth) into skeleton nodes;
+/// returns the index of its node.
+std::uint32_t build_skeleton(const Rules& rules, CfgId id, std::size_t depth,
+                             Skeleton& sk) {
+  const Config& c = rules.cfg(id);
+  const auto index = static_cast<std::uint32_t>(sk.nodes.size());
+  sk.nodes.emplace_back();
+  SkeletonNode node;
+  node.kind = c.kind;
+  node.term = c.term;
+  node.depth = depth;
+  node.first = static_cast<std::uint32_t>(sk.initial.size());
+  switch (c.kind) {
+    case Config::Kind::kPar:
+      node.left = build_skeleton(rules, c.left, depth + 1, sk);
+      node.right = build_skeleton(rules, c.right, depth + 1, sk);
+      break;
+    case Config::Kind::kHide:
+    case Config::Kind::kRename:
+      node.left = build_skeleton(rules, c.left, depth + 1, sk);
+      break;
+    case Config::Kind::kLeaf:
+    case Config::Kind::kSeq:
+      node.kind = Config::Kind::kLeaf;
+      sk.initial.push_back(id);
+      break;
+  }
+  node.width = static_cast<std::uint32_t>(sk.initial.size()) - node.first;
+  sk.nodes[index] = node;
+  return index;
+}
+
+/// The leaf table shared by every clone of one oracle: Rules behind one
+/// mutex, plus the skeleton, built once.  Workers call in only on a miss
+/// of their own caches.
+class LeafTable {
+ public:
+  LeafTable(std::shared_ptr<const Program> program, TermPtr root,
+            const GenerateOptions& options)
+      : program_(std::move(program)),
+        root_(std::move(root)),
+        rules_(*program_, options) {}
+
+  /// The skeleton, lifting the root on first use (a failed lift is
+  /// retried, and fails again, on the next call).
+  const Skeleton& skeleton() {
+    core::MutexLock lock(mu_);
+    if (skeleton_ == nullptr) {
+      auto sk = std::make_unique<Skeleton>();
+      build_skeleton(rules_, rules_.lift_root(root_.get()), 0, *sk);
+      skeleton_ = std::move(sk);
+    }
+    return *skeleton_;
+  }
+
+  /// Appends the successors of leaf configuration @p id at @p depth to
+  /// @p out.
+  void successors(CfgId id, std::size_t depth, std::vector<Successor>& out) {
+    core::MutexLock lock(mu_);
+    const std::span<const Successor> list =
+        rules_.memo_list(rules_.operand_transitions(id, depth));
+    out.insert(out.end(), list.begin(), list.end());
+  }
+
+  /// @p label as seen above skeleton node @p node: for a par, 1 if it
+  /// synchronises and 0 if not; for hide and rename, the resulting label.
+  LabelId classify(const SkeletonNode& node, LabelId label) {
+    core::MutexLock lock(mu_);
+    switch (node.kind) {
+      case Config::Kind::kPar:
+        return rules_.syncs_on(label, node.term->gates()) ? 1 : 0;
+      case Config::Kind::kHide:
+        return rules_.hidden(label, *node.term);
+      case Config::Kind::kRename:
+        return rules_.renamed(label, *node.term);
+      default:
+        throw std::logic_error("LeafTable::classify: not an operator node");
+    }
+  }
+
+  /// The text of @p label; labels are never moved, so the view stays valid.
+  std::string_view text(LabelId label) {
+    core::MutexLock lock(mu_);
+    return rules_.label(label).text;
+  }
+
+ private:
+  std::shared_ptr<const Program> program_;
+  TermPtr root_;
+  core::Mutex mu_;
+  Rules rules_ MV_GUARDED_BY(mu_);
+  std::unique_ptr<const Skeleton> skeleton_ MV_GUARDED_BY(mu_);
+};
+
+/// One worker's view of a LeafTable.  The skeleton's moves are combined
+/// here, on state vectors.  Every par operand's moves are memoised per
+/// worker by the operand's words — they depend on nothing else, since an
+/// operand's depth is fixed — so the table is locked only on a miss of
+/// that memo or of the per-node label classification.
+class ProcOracle final : public explore::SuccessorOracle {
+ public:
+  explicit ProcOracle(std::shared_ptr<LeafTable> table)
+      : table_(std::move(table)) {}
+
+  std::size_t width() override { return skeleton().initial.size(); }
+
+  void initial(std::span<Word> out) override {
+    const std::vector<Word>& init = skeleton().initial;
+    std::copy(init.begin(), init.end(), out.begin());
+  }
+
+  void successors(StateView state, Steps& out) override {
+    moves(0, state, out);
+  }
+
+  std::string_view label(LabelId id) const override {
+    return table_->text(id);
+  }
+
+  explore::OraclePtr clone() const override {
+    return std::make_unique<ProcOracle>(table_);
+  }
+
+ private:
+  static constexpr LabelId kUnknown = static_cast<LabelId>(-1);
+
+  static constexpr std::size_t kNotComputed = static_cast<std::size_t>(-1);
+
+  /// The memoised moves of one par operand: entry e (a dense id of the
+  /// operand's words) owns pool[lists[e].first, lists[e].second).
+  struct OperandMemo {
+    std::unique_ptr<explore::StateStore> keys;
+    std::vector<std::pair<std::size_t, std::size_t>> lists;
+    Steps pool;
+  };
+
+  const Skeleton& skeleton() {
+    if (skeleton_ == nullptr) {
+      skeleton_ = &table_->skeleton();
+      const std::size_t n = skeleton_->nodes.size();
+      classified_.resize(n);
+      memo_.resize(n);
+      for (const SkeletonNode& node : skeleton_->nodes) {
+        scratch_.emplace_back(node.width);
+      }
+    }
+    return *skeleton_;
+  }
+
+  /// Appends the moves of skeleton node @p n in global state @p s to
+  /// @p out, whose width is the node's: the SOS rules of par, hide and
+  /// rename, in the order the rules give them.
+  void moves(std::uint32_t n, StateView s, Steps& out) {
+    const SkeletonNode& node = skeleton().nodes[n];
+    switch (node.kind) {
+      case Config::Kind::kPar: {
+        const Steps& l = operand_moves(node.left, s);
+        const Steps& r = operand_moves(node.right, s);
+        const StateView cur = s.subspan(node.first, node.width);
+        const std::size_t wl = l.width();
+        const auto emit = [&out, wl](LabelId label, StateView dl,
+                                     StateView dr) {
+          const std::span<Word> dst = out.push(label);
+          std::copy(dl.begin(), dl.end(), dst.begin());
+          std::copy(dr.begin(), dr.end(), dst.begin() + wl);
+        };
+        for (std::size_t i = 0; i < l.size(); ++i) {
+          if (classify(n, l.label(i)) == 0) {
+            emit(l.label(i), l.dst(i), cur.subspan(wl));
+          }
+        }
+        for (std::size_t j = 0; j < r.size(); ++j) {
+          if (classify(n, r.label(j)) == 0) {
+            emit(r.label(j), cur.first(wl), r.dst(j));
+          }
+        }
+        for (std::size_t i = 0; i < l.size(); ++i) {
+          if (classify(n, l.label(i)) == 0) {
+            continue;
+          }
+          for (std::size_t j = 0; j < r.size(); ++j) {
+            if (r.label(j) == l.label(i)) {
+              emit(l.label(i), l.dst(i), r.dst(j));
+            }
+          }
+        }
+        return;
+      }
+      case Config::Kind::kHide:
+      case Config::Kind::kRename: {
+        const std::size_t first = out.size();
+        moves(node.left, s, out);
+        for (std::size_t i = first; i < out.size(); ++i) {
+          out.relabel(i, classify(n, out.label(i)));
+        }
+        return;
+      }
+      default:
+        leaf_.clear();
+        table_->successors(s[node.first], node.depth, leaf_);
+        for (const Successor& m : leaf_) {
+          out.push(m.label)[0] = m.dst;
+        }
+        return;
+    }
+  }
+
+  /// The moves of par operand @p n in @p s, in scratch_[n].  A computation
+  /// that throws records nothing.
+  const Steps& operand_moves(std::uint32_t n, StateView s) {
+    const SkeletonNode& node = skeleton_->nodes[n];
+    OperandMemo& memo = memo_[n];
+    if (memo.keys == nullptr) {
+      memo.keys = std::make_unique<explore::StateStore>(
+          node.width, explore::StateStore::Options{
+                          explore::StoreMode::kExact, 64, 1});
+      memo.pool = Steps(node.width);
+    }
+    Steps& out = scratch_[n];
+    out.clear();
+    const StateView key = s.subspan(node.first, node.width);
+    const lts::StateId e = memo.keys->insert(key).id;
+    if (e >= memo.lists.size()) {
+      memo.lists.resize(e + 1, {kNotComputed, kNotComputed});
+    }
+    if (memo.lists[e].first != kNotComputed) {
+      for (std::size_t i = memo.lists[e].first; i < memo.lists[e].second;
+           ++i) {
+        const StateView d = memo.pool.dst(i);
+        std::copy(d.begin(), d.end(), out.push(memo.pool.label(i)).begin());
+      }
+      return out;
+    }
+    moves(n, s, out);
+    const std::size_t first = memo.pool.size();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const StateView d = out.dst(i);
+      std::copy(d.begin(), d.end(), memo.pool.push(out.label(i)).begin());
+    }
+    memo.lists[e] = {first, memo.pool.size()};
+    return out;
+  }
+
+  LabelId classify(std::uint32_t n, LabelId label) {
+    std::vector<LabelId>& known = classified_[n];
+    if (label >= known.size()) {
+      known.resize(label + 1, kUnknown);
+    }
+    if (known[label] == kUnknown) {
+      known[label] = table_->classify(skeleton_->nodes[n], label);
+    }
+    return known[label];
+  }
+
+  std::shared_ptr<LeafTable> table_;
+  const Skeleton* skeleton_ = nullptr;  // owned by table_
+  std::vector<std::vector<LabelId>> classified_;  // by node, by label
+  std::vector<OperandMemo> memo_;                 // by node
+  std::vector<Steps> scratch_;  // by node: its moves, for a par above it
+  std::vector<Successor> leaf_;  // scratch
+};
+
+std::vector<ExprPtr> literals(const std::vector<Value>& args) {
+  std::vector<ExprPtr> out;
+  out.reserve(args.size());
+  for (const Value v : args) {
+    out.push_back(lit(v));
+  }
+  return out;
+}
+
+/// The engine's options for generating with @p options: one worker, an
+/// exact store.
+explore::ExploreOptions sequential(const GenerateOptions& options) {
+  explore::ExploreOptions eo;
+  eo.max_states = options.max_states;
+  return eo;
+}
+
+/// @p program viewed through a shared_ptr that does not own it.
+std::shared_ptr<const Program> borrowed(const Program& program) {
+  return {std::shared_ptr<const Program>(), &program};
+}
 
 }  // namespace
 
+explore::OraclePtr oracle(std::shared_ptr<const Program> program, TermPtr root,
+                          const GenerateOptions& options) {
+  if (program == nullptr || root == nullptr) {
+    throw std::invalid_argument("proc::oracle: null program or root");
+  }
+  return std::make_unique<ProcOracle>(std::make_shared<LeafTable>(
+      std::move(program), std::move(root), options));
+}
+
 Lts generate(const Program& program, std::string_view entry,
              std::vector<Value> args, const GenerateOptions& options) {
-  std::vector<ExprPtr> arg_exprs;
-  arg_exprs.reserve(args.size());
-  for (const Value v : args) {
-    arg_exprs.push_back(lit(v));
-  }
-  return generate_term(program, call(entry, std::move(arg_exprs)), options);
+  return generate_term(program, call(entry, literals(args)), options);
 }
 
 Lts generate_term(const Program& program, const TermPtr& t,
@@ -744,58 +805,18 @@ Lts generate_term(const Program& program, const TermPtr& t,
   if (t == nullptr) {
     throw std::invalid_argument("generate_term: null term");
   }
-  Generator gen(program, options);
-  return gen.run(t);
+  return explore::explore(*oracle(borrowed(program), t, options),
+                          sequential(options))
+      .lts;
 }
 
 DeadlockSearchResult find_deadlock(const Program& program,
                                    std::string_view entry,
                                    std::vector<Value> args,
                                    const GenerateOptions& options) {
-  std::vector<ExprPtr> arg_exprs;
-  arg_exprs.reserve(args.size());
-  for (const Value v : args) {
-    arg_exprs.push_back(lit(v));
-  }
-  Generator gen(program, options);
-  return gen.run_find_deadlock(call(entry, std::move(arg_exprs)));
-}
-
-// ---- TermExplorer -----------------------------------------------------------
-
-struct TermExplorer::Impl {
-  Impl(const Program& program, TermPtr root, const GenerateOptions& options)
-      : gen(program, options), root(std::move(root)) {}
-
-  Generator gen;
-  TermPtr root;
-};
-
-TermExplorer::TermExplorer(const Program& program, TermPtr root,
-                           const GenerateOptions& options) {
-  if (root == nullptr) {
-    throw std::invalid_argument("TermExplorer: null root");
-  }
-  impl_ = std::make_unique<Impl>(program, std::move(root), options);
-}
-
-TermExplorer::TermExplorer(TermExplorer&&) noexcept = default;
-TermExplorer& TermExplorer::operator=(TermExplorer&&) noexcept = default;
-TermExplorer::~TermExplorer() = default;
-
-std::string TermExplorer::initial() {
-  return impl_->gen.encode(impl_->gen.lift_root(impl_->root));
-}
-
-std::vector<TermExplorer::Move> TermExplorer::successors(
-    std::string_view state) {
-  const CfgId id = impl_->gen.decode(state);
-  std::vector<Move> out;
-  for (const Successor& suc : impl_->gen.successors_of(id)) {
-    out.push_back(Move{impl_->gen.label_text(suc.label),
-                       impl_->gen.encode(suc.dst)});
-  }
-  return out;
+  return explore::find_deadlock(
+      *oracle(borrowed(program), call(entry, literals(args)), options),
+      sequential(options));
 }
 
 }  // namespace multival::proc

@@ -22,8 +22,10 @@
 // the intersection of the ranges).
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -155,6 +157,24 @@ class Program {
 
  private:
   std::map<std::string, Definition, std::less<>> defs_;
+};
+
+// ---- generation options ----------------------------------------------------------
+
+/// Options of LTS generation from a Program (proc/generator.hpp) and of its
+/// on-the-fly oracle (explore::proc_oracle).
+struct GenerateOptions {
+  /// Hard cap on the number of distinct states; exceeded -> throws
+  /// StateSpaceLimit (explore::LimitExceeded).
+  std::size_t max_states = 1u << 22;
+  /// Bound on sequential unfolding (guards/choices/calls) when computing the
+  /// transitions of a single state; exceeded -> throws UnguardedRecursion.
+  std::size_t max_unfold_depth = 2048;
+};
+
+/// Thrown on (probable) unguarded recursion, e.g. P := P [] a;Q.
+struct UnguardedRecursion : std::runtime_error {
+  using std::runtime_error::runtime_error;
 };
 
 }  // namespace multival::proc

@@ -33,15 +33,17 @@ bool strongly_equivalent(const lts::Lts& a, const lts::Lts& b) {
 
 // --- StateStore ----------------------------------------------------------
 
+using Vec = std::vector<explore::Word>;
+
 TEST(StateStore, AssignsDenseIdsAndCountsDedup) {
-  explore::StateStore store;
-  const auto a = store.insert("alpha");
+  explore::StateStore store(2);
+  const auto a = store.insert(Vec{1, 2});
   EXPECT_TRUE(a.fresh);
   EXPECT_EQ(a.id, 0u);
-  const auto b = store.insert("beta");
+  const auto b = store.insert(Vec{2, 1});
   EXPECT_TRUE(b.fresh);
   EXPECT_EQ(b.id, 1u);
-  const auto a2 = store.insert("alpha");
+  const auto a2 = store.insert(Vec{1, 2});
   EXPECT_FALSE(a2.fresh);
   EXPECT_EQ(a2.id, a.id);
   EXPECT_EQ(store.size(), 2u);
@@ -50,7 +52,7 @@ TEST(StateStore, AssignsDenseIdsAndCountsDedup) {
 }
 
 TEST(StateStore, ConcurrentInsertsAgreeOnIds) {
-  explore::StateStore store;
+  explore::StateStore store(3);
   constexpr int kKeys = 200;
   constexpr int kThreads = 4;
   std::vector<std::vector<lts::StateId>> ids(
@@ -59,8 +61,9 @@ TEST(StateStore, ConcurrentInsertsAgreeOnIds) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&store, &ids, t] {
       for (int k = 0; k < kKeys; ++k) {
+        const auto w = static_cast<explore::Word>(k);
         ids[static_cast<std::size_t>(t)][static_cast<std::size_t>(k)] =
-            store.insert("key" + std::to_string(k)).id;
+            store.insert(Vec{w, w * 7, 5}).id;
       }
     });
   }
@@ -73,13 +76,31 @@ TEST(StateStore, ConcurrentInsertsAgreeOnIds) {
   }
 }
 
+TEST(StateStore, GrowsPastManyStatesWithoutFalseDedup) {
+  // Few stripes force every index through many doublings; states that
+  // differ only in their last word must all stay distinct.
+  explore::StateStore store(4, {explore::StoreMode::kExact, 64, 2});
+  constexpr explore::Word kStates = 20000;
+  for (explore::Word k = 0; k < kStates; ++k) {
+    const auto r = store.insert(Vec{7, 7, 7, k});
+    ASSERT_TRUE(r.fresh);
+    ASSERT_EQ(r.id, k);
+  }
+  for (explore::Word k = 0; k < kStates; k += 997) {
+    const auto r = store.insert(Vec{7, 7, 7, k});
+    EXPECT_FALSE(r.fresh);
+    EXPECT_EQ(r.id, k);
+  }
+  EXPECT_EQ(store.size(), kStates);
+}
+
 TEST(StateStore, NarrowFingerprintDetectsCollisions) {
   explore::StateStore::Options opts;
   opts.mode = explore::StoreMode::kFingerprint;
   opts.fingerprint_bits = 4;  // at most 16 distinct fingerprints
-  explore::StateStore store(opts);
-  for (int k = 0; k < 256; ++k) {
-    (void)store.insert("state" + std::to_string(k));
+  explore::StateStore store(1, opts);
+  for (explore::Word k = 0; k < 256; ++k) {
+    (void)store.insert(Vec{k});
   }
   EXPECT_LE(store.size(), 16u);
   EXPECT_GT(store.collisions(), 0u);
@@ -149,39 +170,50 @@ TEST(Engine, DeterministicAcrossWorkerCounts) {
   }
 }
 
-// --- explore vs proc::generate on the case studies -----------------------
+// --- golden pins across worker counts ------------------------------------
+//
+// proc::generate is the engine with one worker, so comparing the two would
+// compare a path with itself.  These pins {states, transitions, FNV-1a of
+// the .aut text} fix the exact output instead, at 1, 2 and 4 workers.
 
-TEST(Engine, MatchesGeneratorOnFameCoherence) {
-  const proc::Program p = fame::coherence_system_program(fame::Protocol::kMsi);
-  const lts::Lts generated = proc::generate(p, "System");
-  explore::ExploreOptions opts;
-  opts.workers = 2;
-  const auto r = explore::explore(*explore::proc_oracle(p, "System"), opts);
-  EXPECT_EQ(r.lts.num_states(), generated.num_states());
-  EXPECT_EQ(r.lts.num_transitions(), generated.num_transitions());
-  EXPECT_TRUE(strongly_equivalent(r.lts, generated));
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
-TEST(Engine, MatchesGeneratorOnNocSinglePacket) {
-  const proc::Program p = noc::single_packet_program(0, 3);
-  const lts::Lts generated = proc::generate(p, "Scenario");
-  const auto r = explore::explore(*explore::proc_oracle(p, "Scenario"));
-  EXPECT_EQ(r.lts.num_states(), generated.num_states());
-  EXPECT_EQ(r.lts.num_transitions(), generated.num_transitions());
-  EXPECT_TRUE(strongly_equivalent(r.lts, generated));
+void expect_pinned(const proc::Program& p, const char* entry,
+                   std::size_t states, std::size_t transitions,
+                   std::uint64_t hash) {
+  const auto oracle = explore::proc_oracle(p, entry);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    explore::ExploreOptions opts;
+    opts.workers = workers;
+    const auto r = explore::explore(*oracle, opts);
+    EXPECT_EQ(r.lts.num_states(), states) << "workers=" << workers;
+    EXPECT_EQ(r.lts.num_transitions(), transitions) << "workers=" << workers;
+    EXPECT_EQ(fnv1a64(lts::to_aut(r.lts)), hash) << "workers=" << workers;
+  }
+  const lts::Lts generated = proc::generate(p, entry);
+  EXPECT_EQ(fnv1a64(lts::to_aut(generated)), hash) << "proc::generate";
 }
 
-TEST(Engine, MatchesGeneratorOnXstreamQueue) {
-  const xstream::QueueConfig cfg;
-  const proc::Program p = xstream::virtual_queue_program(cfg);
-  const lts::Lts generated = proc::generate(p, "VirtualQueue");
-  explore::ExploreOptions opts;
-  opts.workers = 4;
-  const auto r =
-      explore::explore(*explore::proc_oracle(p, "VirtualQueue"), opts);
-  EXPECT_EQ(r.lts.num_states(), generated.num_states());
-  EXPECT_EQ(r.lts.num_transitions(), generated.num_transitions());
-  EXPECT_TRUE(strongly_equivalent(r.lts, generated));
+TEST(Engine, GoldenFameCoherence) {
+  expect_pinned(fame::coherence_system_program(fame::Protocol::kMsi),
+                "System", 332, 896, 0x55b288505e47e685ull);
+}
+
+TEST(Engine, GoldenNocSinglePacket) {
+  expect_pinned(noc::single_packet_program(0, 3), "Scenario", 8, 7,
+                0xafe9451aa7a3a5b3ull);
+}
+
+TEST(Engine, GoldenXstreamQueue) {
+  expect_pinned(xstream::virtual_queue_program(xstream::QueueConfig{}),
+                "VirtualQueue", 33, 66, 0x3f3bf7ea4ece6193ull);
 }
 
 // --- hash compaction -----------------------------------------------------

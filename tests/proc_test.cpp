@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -525,6 +526,17 @@ std::uint64_t fnv1a64(const std::string& s) {
   return h;
 }
 
+/// The .aut hash of @p entry of @p p explored by four workers.
+std::uint64_t hash_at_four_workers(const Program& p,
+                                   const std::string& entry) {
+  explore::ExploreOptions opts;
+  opts.workers = 4;
+  return fnv1a64(lts::to_aut(
+      explore::explore(*oracle(std::make_shared<const Program>(p), call(entry)),
+                       opts)
+          .lts));
+}
+
 TEST(Generate, GoldenEdgeRouter3x3) {
   Program p;
   const noc::MeshDims dims{3, 3, 1};
@@ -534,6 +546,7 @@ TEST(Generate, GoldenEdgeRouter3x3) {
   EXPECT_EQ(l.num_states(), 94080u);
   EXPECT_EQ(l.num_transitions(), 644000u);
   EXPECT_EQ(fnv1a64(lts::to_aut(l)), 0x79ea9cb68f5dc3feull);
+  EXPECT_EQ(hash_at_four_workers(p, entry), 0x79ea9cb68f5dc3feull);
 }
 
 // Parallel operands built from >>/exit, hide and rename, with value passing
@@ -559,6 +572,7 @@ TEST(Generate, GoldenMixedOperators) {
   EXPECT_EQ(l.num_states(), 1200u);
   EXPECT_EQ(l.num_transitions(), 4884u);
   EXPECT_EQ(fnv1a64(lts::to_aut(l)), 0xe0455f444f7fb6cfull);
+  EXPECT_EQ(hash_at_four_workers(p, "System"), 0xe0455f444f7fb6cfull);
 }
 
 // --- errors inside parallel operands ---------------------------------------------
@@ -587,22 +601,47 @@ TEST(Generate, DivisionByZeroInOperandAfterSteps) {
   EXPECT_THROW((void)generate(p, "System"), std::domain_error);
 
   // A failed successor computation leaves no partial memo entry behind:
-  // asking an explorer twice for the failing state throws twice.
-  TermExplorer ex(p, call("System"));
-  std::string state = ex.initial();
+  // asking the oracle twice for the failing state throws twice.
+  const explore::OraclePtr o =
+      oracle(std::make_shared<const Program>(p), call("System"));
+  explore::Steps steps(o->width());
+  std::vector<explore::Word> state(o->width());
+  o->initial(state);
   for (int step = 0; step < 2; ++step) {
+    steps.clear();
+    o->successors(state, steps);
     bool advanced = false;
-    for (const TermExplorer::Move& m : ex.successors(state)) {
-      if (m.label.rfind("A !", 0) == 0) {
-        state = m.dst;
+    for (std::size_t i = 0; i < steps.size() && !advanced; ++i) {
+      if (o->label(steps.label(i)).rfind("A !", 0) == 0) {
+        const explore::StateView dst = steps.dst(i);
+        state.assign(dst.begin(), dst.end());
         advanced = true;
-        break;
       }
     }
     ASSERT_TRUE(advanced);
   }
-  EXPECT_THROW((void)ex.successors(state), std::domain_error);
-  EXPECT_THROW((void)ex.successors(state), std::domain_error);
+  steps.clear();
+  EXPECT_THROW(o->successors(state, steps), std::domain_error);
+  EXPECT_THROW(o->successors(state, steps), std::domain_error);
+}
+
+TEST(Generate, DivisionByZeroPropagatesFromParallelWorkers) {
+  // Wide offers 32 values at once, so the levels that reach Div (2) hold
+  // dozens of states and are split over all four workers; every worker
+  // that meets the failing operand throws.
+  const Program p = parse_program(R"(
+    process Div (n) := A !(10 / (2 - n)) ; Div (n + 1) endproc
+    process Stay (x) := T !x ; Stay (x) endproc
+    process Wide := W ?x:0..31 ; Stay (x) endproc
+    process System := Wide ||| Div (0) endproc
+  )");
+  const explore::OraclePtr o =
+      oracle(std::make_shared<const Program>(p), call("System"));
+  explore::ExploreOptions opts;
+  opts.workers = 4;
+  EXPECT_THROW((void)explore::explore(*o, opts), std::domain_error);
+  // The shared leaf table kept no entry for the failing operand.
+  EXPECT_THROW((void)explore::explore(*o, opts), std::domain_error);
 }
 
 TEST(Generate, StateLimitInParallelModel) {
